@@ -1,7 +1,9 @@
 """Lower bounds on two-congruence solution counts.
 
-The counting problem reduces to a dot product of per-class member counts
-(see residues.exact_count). Sorting both count vectors and pairing them in
+The solution count is the dot product of the two collections' member counts
+per residue class modulo g = gcd(m, n) (residues.partition_counts gives those
+counts; residues.exact_count evaluates the product in closed form without
+building them). Sorting both count vectors and pairing them in
 opposite order can only shrink that product, and among sorted vectors with a
 fixed sum and per-entry cap a step-shaped "extremal" vector is the worst
 case. The closed form of the extremal pairing gives a floor on the solution
@@ -17,8 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .congruence import checked_mul
-from .residues import CyclicInterval
+from .congruence import INT64_MAX, OverflowLimitError, checked_mul
+from .residues import CyclicInterval, interval_block_pairs
 
 CASE_EMPTY = "empty"
 CASE_BOUNDARY = "boundary"
@@ -118,6 +120,17 @@ class BoundResult(NamedTuple):
     case_tag: str
 
 
+def _checked_bound(value: int) -> int:
+    """Return a floor unchanged, or refuse it when it leaves the 64-bit range.
+
+    Validated sizes and caps are non-negative, so a floor can only cross the
+    top of the range.
+    """
+    if value > INT64_MAX:
+        raise OverflowLimitError(f"bound {value} exceeds the 64-bit integer range")
+    return value
+
+
 def extremal_sum(
     size_a: int, cap_a: int, size_b: int, cap_b: int, length: int
 ) -> BoundResult:
@@ -133,6 +146,7 @@ def extremal_sum(
         plus the two edge terms leftover_a * cap_b and leftover_b * cap_a.
 
     The tag records which case fired ("empty", "boundary", "overlap").
+    Raises OverflowLimitError when the sum leaves the 64-bit range.
     """
     for size, cap in ((size_a, cap_a), (size_b, cap_b)):
         if cap < 1:
@@ -149,13 +163,13 @@ def extremal_sum(
     if span < length:
         return BoundResult(0, CASE_EMPTY)
     if span == length:
-        return BoundResult(leftover_a * leftover_b, CASE_BOUNDARY)
+        return BoundResult(_checked_bound(leftover_a * leftover_b), CASE_BOUNDARY)
     value = (
         (span - length - 1) * cap_a * cap_b
         + leftover_a * cap_b
         + leftover_b * cap_a
     )
-    return BoundResult(value, CASE_OVERLAP)
+    return BoundResult(_checked_bound(value), CASE_OVERLAP)
 
 
 def _check_sizes(m: int, n: int, size_a: int, size_b: int) -> None:
@@ -173,7 +187,8 @@ def bound_arbitrary(m: int, n: int, size_a: int, size_b: int) -> BoundResult:
     Each size is decomposed by modulus/g with g = gcd(m, n); the cases split
     on how the two quotients compare with g - 1. Agrees everywhere with
     extremal_sum(size_a, m // g, size_b, n // g, g), and no pair of
-    collections of these sizes has fewer solutions.
+    collections of these sizes has fewer solutions. Raises OverflowLimitError
+    when the floor leaves the 64-bit range.
     """
     _check_sizes(m, n, size_a, size_b)
     g = math.gcd(m, n)
@@ -185,9 +200,10 @@ def bound_arbitrary(m: int, n: int, size_a: int, size_b: int) -> BoundResult:
     if total < g - 1:
         return BoundResult(0, CASE_EMPTY)
     if total == g - 1:
-        return BoundResult(rem_a * rem_b, CASE_BOUNDARY)
+        return BoundResult(_checked_bound(rem_a * rem_b), CASE_BOUNDARY)
     return BoundResult(
-        (total - g) * cap_a * cap_b + rem_a * cap_b + rem_b * cap_a, CASE_OVERLAP
+        _checked_bound((total - g) * cap_a * cap_b + rem_a * cap_b + rem_b * cap_a),
+        CASE_OVERLAP,
     )
 
 
@@ -195,20 +211,17 @@ def bound_intervals(m: int, n: int, size_a: int, size_b: int) -> int:
     """Floor on the solution count when both collections are single cyclic intervals.
 
     Both sizes decompose by g = gcd(m, n). Each full block of g consecutive
-    classes covers every class modulo g once, so full blocks pair off exactly;
-    the two leftover arcs of lengths rem_a, rem_b < g must still meet in at
-    least rem_a + rem_b - g classes modulo g when that is positive.
+    classes covers every class modulo g once, so full blocks pair off exactly
+    (residues.interval_block_pairs, shared with exact_count); the two leftover
+    arcs of lengths rem_a, rem_b < g must still meet in at least
+    rem_a + rem_b - g classes modulo g when that is positive, and do meet in
+    exactly that many at the worst relative shift. Raises OverflowLimitError
+    when the floor leaves the 64-bit range.
     """
     _check_sizes(m, n, size_a, size_b)
     g = math.gcd(m, n)
-    quot_a, rem_a = divmod(size_a, g)
-    quot_b, rem_b = divmod(size_b, g)
-    return (
-        quot_a * quot_b * g
-        + quot_a * rem_b
-        + quot_b * rem_a
-        + max(0, rem_a + rem_b - g)
-    )
+    blocks, rem_a, rem_b = interval_block_pairs(size_a, size_b, g)
+    return _checked_bound(blocks + max(0, rem_a + rem_b - g))
 
 
 def density_guarantee(m: int, n: int, size_a: int, size_b: int) -> bool:

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .congruence import SolutionClass, checked_mul
 
@@ -115,35 +116,114 @@ def partition_counts(collection: ResidueCollection, divisor: int) -> ResiduePart
     return ResiduePartitionCount(divisor, tuple(counts))
 
 
+def interval_block_pairs(size_a: int, size_b: int, g: int) -> tuple[int, int, int]:
+    """Pairs agreeing mod g between two cyclic intervals, outside their leftover arcs.
+
+    An interval of size q*g + r covers every class mod g q times, plus once more
+    on a leftover arc of r < g consecutive classes beginning at its start mod g.
+    The q-fold covers pair off exactly, giving qa*qb*g + qa*rb + qb*ra pairs;
+    returns that number with the two leftover lengths (ra, rb). The rest of
+    the count is the overlap of the two leftover arcs, which lies between
+    max(0, ra + rb - g) and min(ra, rb) depending on their relative shift.
+    """
+    quot_a, rem_a = divmod(size_a, g)
+    quot_b, rem_b = divmod(size_b, g)
+    return quot_a * quot_b * g + quot_a * rem_b + quot_b * rem_a, rem_a, rem_b
+
+
+def _arc_overlap(start_a: int, len_a: int, start_b: int, len_b: int, g: int) -> int:
+    """Classes shared by two arcs of lengths below g on Z_g (starts taken mod g)."""
+    # Rotate so arc a is [0, len_a); arc b is [shift, shift + len_b), and its
+    # part past the top of Z_g is [0, shift + len_b - g).
+    shift = (start_b - start_a) % g
+    end_b = shift + len_b
+    return max(0, min(len_a, end_b) - shift) + max(0, min(len_a, end_b - g))
+
+
+def _set_interval_count(explicit: ResidueSet, arc: CyclicInterval, g: int) -> int:
+    turns, extra = divmod(arc.length, g)
+    total = explicit.size * turns
+    if extra:
+        start = arc.start
+        total += len([r for r in explicit.members if (r - start) % g < extra])
+    return total
+
+
 def exact_count(a: ResidueCollection, b: ResidueCollection) -> int:
     """Exact number of residue classes modulo lcm(m, n) hit by some admissible pair.
 
     A pair (α, β) with α in a, β in b yields a common solution of
-    x ≡ α (mod m), x ≡ β (mod n) exactly when α ≡ β (mod gcd(m, n)), and each
-    such pair contributes one distinct class modulo m*n/gcd(m, n). The count
-    is therefore the dot product of the two per-class member counts.
+    x ≡ α (mod m), x ≡ β (mod n) exactly when α ≡ β (mod g), g = gcd(m, n), and
+    each such pair contributes one distinct class modulo m*n/g. The pairs are
+    counted in closed form, never by walking an interval:
+
+      interval × interval: interval_block_pairs plus the overlap of the two
+        leftover arcs on Z_g, O(1).
+      set × interval (either order): |set|*qb plus the set members whose class
+        mod g lies on the interval's leftover arc, O(|set|).
+      set × set: tally one set by class mod g, look up the other, O(|a| + |b|).
     """
     g = math.gcd(a.modulus, b.modulus)
     checked_mul(a.modulus // g, b.modulus)  # the solution modulus must stay representable
-    counts_a = partition_counts(a, g).counts
-    counts_b = partition_counts(b, g).counts
-    return sum(x * y for x, y in zip(counts_a, counts_b))
+    if isinstance(a, CyclicInterval) and isinstance(b, CyclicInterval):
+        blocks, rem_a, rem_b = interval_block_pairs(a.length, b.length, g)
+        return blocks + _arc_overlap(a.start, rem_a, b.start, rem_b, g)
+    if isinstance(b, CyclicInterval):
+        return _set_interval_count(a, b, g)
+    if isinstance(a, CyclicInterval):
+        return _set_interval_count(b, a, g)
+    tally = Counter(r % g for r in a.members)
+    return sum(tally.get(r % g, 0) for r in b.members)
+
+
+def _members_by_class(
+    collection: ResidueCollection, g: int
+) -> Callable[[int], Iterable[int]]:
+    """Lookup from a class c mod g to the collection's members in that class.
+
+    A set is bucketed once, in O(|set|). An interval needs no buckets: its
+    members in class c are start + i for i ≡ c - start (mod g), returned in
+    O(1) as a range, so those past the top are not reduced mod the modulus.
+    """
+    if isinstance(collection, CyclicInterval):
+        start = collection.start
+        end = start + collection.length
+        return lambda c: range(start + (c - start) % g, end, g)
+    buckets: dict[int, list[int]] = {}
+    for member in collection.members:
+        buckets.setdefault(member % g, []).append(member)
+    return lambda c: buckets.get(c, ())
 
 
 def enumerate_solutions(
     a: ResidueCollection, b: ResidueCollection, cap: int = ENUMERATION_CAP
 ) -> list[SolutionClass]:
-    """Scan [0, lcm(m, n)) for every common solution; the oracle, not the fast path."""
+    """Every common solution class modulo lcm(m, n), in increasing order.
+
+    Refuses when lcm(m, n) exceeds the cap. The problem is symmetric, so let a
+    be the smaller collection. Each member α of a is looked up against the
+    members β of b in its class mod g = gcd(m, n), and each such pair lifts by
+    CRT to x = α + m*t with t ≡ (β - α)/g * (m/g)^-1 (mod n/g), which depends
+    on β only mod n. Cost O(min(|a|, |b|) + s log s) for s solutions, plus
+    O(|b|) to bucket b when it is an explicit set; [0, lcm) is never scanned.
+    """
     g = math.gcd(a.modulus, b.modulus)
     span = checked_mul(a.modulus // g, b.modulus)
     if span > cap:
         raise EnumerationCapError(f"scan range {span} exceeds the enumeration cap {cap}")
-    mod_a, mod_b = a.modulus, b.modulus
-    return [
-        SolutionClass(x, span)
-        for x in range(span)
-        if x % mod_a in a and x % mod_b in b
+    if a.size > b.size:
+        a, b = b, a
+    mod_a = a.modulus
+    step = b.modulus // g
+    inverse = pow(mod_a // g, -1, step)
+    partners = _members_by_class(b, g)
+    found = [
+        alpha + mod_a * ((beta - alpha) // g * inverse % step)
+        for alpha in a
+        for beta in partners(alpha % g)
     ]
+    found.sort()
+    return [SolutionClass(x, span) for x in found]
 
 
 def interval_members(interval: CyclicInterval) -> ResidueSet:

@@ -303,3 +303,18 @@ def test_tightness_instance_validation():
         tightness_instance(0)
     with pytest.raises(OverflowLimitError):
         tightness_instance(10**9)
+
+
+def test_floors_outside_64_bits_are_refused():
+    m, n = 2**40, 2**40 + 1
+    with pytest.raises(OverflowLimitError):
+        bound_intervals(m, n, m // 2, n // 2)
+    with pytest.raises(OverflowLimitError):
+        bound_arbitrary(m, n, m // 2, n // 2)
+    with pytest.raises(OverflowLimitError):
+        extremal_sum(2**41, 2**40, 2**41, 2**40, 2)  # two full products 2**80
+    # floors up to the top of the range are returned unchanged
+    m, n = 49 * 73 * 127 * 337, 92737 * 649657  # coprime, m * n == 2**63 - 1
+    assert bound_intervals(m, n, m, n) == 2**63 - 1
+    assert bound_arbitrary(m, n, m, n).lower_bound == 2**63 - 1
+    assert extremal_sum(2**62, 2**62, 1, 1, 1) == (2**62, CASE_OVERLAP)

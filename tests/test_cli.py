@@ -218,3 +218,16 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "x ≡ 8 (mod 15)\n"
+
+
+def test_out_of_range_bound_is_refused():
+    args = ("1099511627776", "1099511627777", "549755813888", "549755813888")
+    for mode in ("interval", "arbitrary"):
+        code, out, err = invoke("bound", mode, *args)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "64-bit" in err
+        assert err.count("\n") == 1
+        code, out, err = invoke("bound", mode, *args, "--json")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert json.loads(err)["status"] == "error"

@@ -4,9 +4,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from crtcount.bounds import bound_intervals
 from crtcount.residues import (
     ENUMERATION_CAP,
     CyclicInterval,
@@ -14,6 +15,7 @@ from crtcount.residues import (
     ResidueSet,
     enumerate_solutions,
     exact_count,
+    interval_block_pairs,
     interval_members,
     partition_counts,
 )
@@ -195,3 +197,91 @@ def test_count_equals_enumeration_mixed_random():
         g = math.gcd(m, n)
         if g == 1:
             assert exact_count(a, b) == a.size * b.size
+
+
+def scan_solutions(a, b):
+    """Brute-force oracle: every x in [0, lcm) whose classes lie in both collections."""
+    span = a.modulus // math.gcd(a.modulus, b.modulus) * b.modulus
+    return [x for x in range(span) if x % a.modulus in a and x % b.modulus in b]
+
+
+@st.composite
+def collections(draw):
+    """A set or an interval modulo at most 60; intervals often empty, full or wrapping."""
+    m = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        members = draw(st.lists(st.integers(0, m - 1), unique=True, max_size=m))
+        return ResidueSet(m, tuple(members))
+    start = draw(st.integers(-2 * m, 2 * m))
+    length = draw(st.one_of(st.just(0), st.just(m), st.integers(0, m)))
+    return CyclicInterval(m, start, length)
+
+
+ARC, WRAP = CyclicInterval(12, 3, 5), CyclicInterval(18, 16, 7)
+SPARSE, EVENS = ResidueSet(12, (0, 5, 7, 11)), ResidueSet(18, tuple(range(0, 18, 2)))
+
+
+@given(collections(), collections())
+@example(ARC, WRAP)
+@example(SPARSE, WRAP)
+@example(ARC, EVENS)
+@example(SPARSE, EVENS)
+def test_closed_forms_match_scan(a, b):
+    for first, second in ((a, b), (b, a)):
+        expected = scan_solutions(first, second)
+        assert exact_count(first, second) == len(expected)
+        assert [c.residue for c in enumerate_solutions(first, second)] == expected
+
+
+@given(st.integers(1, 40), st.integers(1, 40), st.data())
+def test_interval_floor_is_the_worst_relative_shift(m, n, data):
+    size_a = data.draw(st.integers(0, m))
+    size_b = data.draw(st.integers(0, n))
+    g = math.gcd(m, n)
+    blocks, rem_a, rem_b = interval_block_pairs(size_a, size_b, g)
+    floor = bound_intervals(m, n, size_a, size_b)
+    assert floor == blocks + max(0, rem_a + rem_b - g)
+    worst = min(
+        exact_count(CyclicInterval(m, 0, size_a), CyclicInterval(n, shift, size_b))
+        for shift in range(g)
+    )
+    assert floor == worst
+
+
+@pytest.fixture
+def intervals_not_walked(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("an interval's members were walked")
+
+    monkeypatch.setattr(CyclicInterval, "__iter__", refuse)
+    monkeypatch.setattr(CyclicInterval, "members", refuse)
+
+
+# Moduli 9*g and 10*g with g = 10**8. A covers 3 full turns of Z_g plus the arc
+# [1e7, 5e7); B covers 5 full turns plus the arc [9e7, 1e8) ∪ [0, 6e7), which
+# wraps past the top of Z_g and contains the whole of A's arc.
+G = 10**8
+BIG_A = CyclicInterval(9 * G, 8 * G + 10**7, 3 * G + 4 * 10**7)  # wraps past 9*G
+BIG_B = CyclicInterval(10 * G, 9 * G + 9 * 10**7, 5 * G + 7 * 10**7)
+
+
+def test_interval_count_touches_no_members(intervals_not_walked):
+    expected = 3 * 5 * G + 3 * 7 * 10**7 + 5 * 4 * 10**7 + 4 * 10**7
+    assert exact_count(BIG_A, BIG_B) == expected
+    assert exact_count(BIG_B, BIG_A) == expected
+
+
+def test_set_interval_count_touches_only_the_set(intervals_not_walked):
+    # classes mod G: 0, 59_999_999, 5e7 and 99_000_000 lie on B's arc, 6e7 does not
+    members = ResidueSet(9 * G, (0, 6 * 10**7 - 1, 6 * 10**7, 850_000_000, 899_000_000))
+    assert exact_count(members, BIG_B) == 5 * 5 + 4
+    assert exact_count(BIG_B, members) == 5 * 5 + 4
+
+
+def test_enumeration_walks_only_the_smaller_collection(intervals_not_walked):
+    single = ResidueSet(10**6, (123_456,))
+    full = CyclicInterval(10**6, 999_999, 10**6)
+    assert enumerate_solutions(single, full)[0].residue == 123_456
+    assert enumerate_solutions(full, single) == enumerate_solutions(single, full)
+    arc = CyclicInterval(2 * 10**6, 10**6, 3)
+    assert [c.residue for c in enumerate_solutions(single, arc)] == []
