@@ -29,19 +29,6 @@ def gcd(u: int, v: int) -> int:
     return math.gcd(u, v)
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: (g, x, y) with a*x + b*y == g == gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 @dataclass(frozen=True)
 class Congruence:
     """A single equation x ≡ residue (mod modulus).
@@ -132,11 +119,13 @@ def solve(system: CongruenceSystem) -> SolutionClass | None:
 
 def _merge(a1: int, m1: int, a2: int, m2: int) -> tuple[int, int] | None:
     """Combine x ≡ a1 (mod m1) and x ≡ a2 (mod m2) into one congruence, if possible."""
-    g, coeff, _ = _xgcd(m1, m2)
+    g = math.gcd(m1, m2)
     if (a2 - a1) % g:
         return None
     step = m2 // g
     combined = checked_mul(m1, step)
     # coeff * (m1 // g) ≡ 1 (mod step), so this t solves a1 + m1*t ≡ a2 (mod m2).
+    # When step == 1, pow returns 0 and t == 0, which is right.
+    coeff = pow(m1 // g, -1, step)
     t = (a2 - a1) // g * coeff % step
     return (a1 + m1 * t) % combined, combined

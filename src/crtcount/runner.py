@@ -5,8 +5,9 @@ runners with distinct positive speeds m and n (a stationary observer at the
 origin makes a third) always admit a time at which both are at circle
 distance at least 1/3 from the observer. On the grid t = x / (3*m*n) the
 times keeping a single runner that far away form one cyclic interval of
-residues, so intersecting two such intervals with the congruence solver
-finds an exact rational witness.
+residues. The earliest common point lies on the slower runner's first arc
+and is found by one modular step, in O(1) integer operations whatever the
+speeds.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .congruence import Congruence, CongruenceSystem, checked_mul, solve
+from .congruence import checked_mul
 from .residues import CyclicInterval
 
 DISTANT_THRESHOLD = Fraction(1, 3)
@@ -85,32 +86,26 @@ class DistantWitness:
 def two_runner_witness(pair: RunnerPair) -> DistantWitness:
     """Earliest grid time at which both runners are at least 1/3 from the origin.
 
-    Works on the grid t = x / (3*m*n). Each runner's admissible x form a
-    cyclic interval; every pair of residues from the two intervals goes
-    through the congruence solver, and the smallest solution wins. The
-    intervals are longer than a third of their moduli, so a compatible pair
-    always exists.
+    Works on the grid t = x / (3*m*n). Let s < f be the two speeds. The slow
+    runner is far exactly when x mod 3f lies in [f, 2f], so no point before
+    x = f qualifies. On that first arc, t runs over [1/(3s), 2/(3s)] and the
+    fast runner sweeps a closed interval of length f/(3s). If f < 2s, x = f
+    itself works, since f*t = 1/3 + (f-s)/(3s) there. If f >= 2s, the sweep
+    is at least 2/3 long and must meet the fast runner's far zone. Either
+    way the answer is the first x >= f with x mod 3s in [s, 2s], one modular
+    step from f and at most 2f, so the cost is O(1) integer operations.
     """
     m, n = pair.speed_m, pair.speed_n
     denominator = checked_mul(3 * m, n)
-    interval_m = distant_interval(m, denominator)
-    interval_n = distant_interval(n, denominator)
-    best: int | None = None
-    for residue_m in interval_m:
-        for residue_n in interval_n:
-            system = CongruenceSystem(
-                (
-                    Congruence(residue_m, interval_m.modulus),
-                    Congruence(residue_n, interval_n.modulus),
-                )
-            )
-            merged = solve(system)
-            if merged is None:
-                continue
-            if best is None or merged.residue < best:
-                best = merged.residue
-    if best is None:
+    slow_arc = distant_interval(min(m, n), denominator)
+    fast_arc = distant_interval(max(m, n), denominator)
+    first = slow_arc.start
+    offset = (first - fast_arc.start) % fast_arc.modulus
+    if offset >= fast_arc.length:
+        first += fast_arc.modulus - offset
+    # The argument above rules this out; refuse rather than return a wrong time.
+    if first - slow_arc.start >= slow_arc.length:
         raise RuntimeError(f"no distant time found for speeds ({m}, {n})")
-    time = Fraction(best, denominator)
+    time = Fraction(first, denominator)
     distances = (circle_distance(m * time), circle_distance(n * time))
     return DistantWitness(time=time, distances=distances)

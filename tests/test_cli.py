@@ -157,6 +157,27 @@ def test_runner_report():
     }
 
 
+def test_runner_report_at_large_speeds():
+    assert invoke("runner", "--speeds", "999999999,1000000000") == (
+        0,
+        "t = 1/2999999997, distances 1/3, 1000000000/2999999997\n",
+        "",
+    )
+
+
+def test_runner_outside_64_bits_is_refused():
+    speeds = ("runner", "--speeds", "3037000500,3037000501")
+    code, out, err = invoke(*speeds)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "64-bit" in err
+    assert err.count("\n") == 1
+    code, out, err = invoke(*speeds, "--json")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    record = json.loads(err)
+    assert record["status"] == "error" and "64-bit" in record["message"]
+
+
 def test_error_record_goes_to_stderr():
     code, out, err = invoke("count", "4", "6", "{0,4}", "{0}", "--json")
     assert code == 2

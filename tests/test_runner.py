@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from crtcount import congruence
+from crtcount.congruence import Congruence, CongruenceSystem, solve
+from crtcount.residues import CyclicInterval
 from crtcount.runner import (
     DISTANT_THRESHOLD,
     DistantWitness,
@@ -122,3 +125,71 @@ def test_witness_distances_match_positions():
         w = two_runner_witness(RunnerPair(m, n))
         assert w.distances == (circle_distance(m * w.time), circle_distance(n * w.time))
         assert min(w.distances) >= DISTANT_THRESHOLD
+
+
+def earliest_grid_time(m, n):
+    """Scan x = 0, 1, ... for the first grid point keeping both runners far.
+
+    Runner v is at least 1/3 from the origin at t = x / D exactly when
+    (v*x mod D) / D lies in [1/3, 2/3], checked here in integers.
+    """
+    denominator = 3 * m * n
+    for x in range(denominator):
+        if all(
+            denominator <= 3 * (v * x % denominator) <= 2 * denominator for v in (m, n)
+        ):
+            return Fraction(x, denominator)
+    raise AssertionError(f"no distant grid time for speeds ({m}, {n})")
+
+
+def crt_pairing_witness(m, n):
+    """Reference search: solve every residue pair from the two arcs, keep the least."""
+    denominator = 3 * m * n
+    interval_m = distant_interval(m, denominator)
+    interval_n = distant_interval(n, denominator)
+    best = None
+    for residue_m in interval_m:
+        for residue_n in interval_n:
+            merged = solve(
+                CongruenceSystem(
+                    (
+                        Congruence(residue_m, interval_m.modulus),
+                        Congruence(residue_n, interval_n.modulus),
+                    )
+                )
+            )
+            if merged is not None and (best is None or merged.residue < best):
+                best = merged.residue
+    time = Fraction(best, denominator)
+    return DistantWitness(time, (circle_distance(m * time), circle_distance(n * time)))
+
+
+@given(st.integers(1, 80), st.integers(1, 80))
+@example(6, 4)  # not coprime, f < 2s
+@example(4, 12)  # f == 3s
+@example(5, 80)  # f >= 3s
+@example(80, 79)
+@example(2, 1)
+def test_witness_equals_brute_force_scan(m, n):
+    assume(m != n)
+    assert two_runner_witness(RunnerPair(m, n)).time == earliest_grid_time(m, n)
+
+
+def test_witness_equals_crt_pairing_oracle():
+    for m in range(1, 13):
+        for n in range(1, 13):
+            if m != n:
+                assert two_runner_witness(RunnerPair(m, n)) == crt_pairing_witness(m, n)
+
+
+def test_witness_touches_no_arc_members_or_solver(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the witness search walked an arc or called the solver")
+
+    monkeypatch.setattr(CyclicInterval, "__iter__", refuse)
+    monkeypatch.setattr(CyclicInterval, "members", refuse)
+    monkeypatch.setattr(congruence, "solve", refuse)
+    witness = two_runner_witness(RunnerPair(999999999, 10**9))
+    assert witness.time == Fraction(1, 2999999997)
+    assert witness.distances == (Fraction(1, 3), Fraction(10**9, 2999999997))
+    assert two_runner_witness(RunnerPair(1, 10**9)).time == Fraction(1, 3)
