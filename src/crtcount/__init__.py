@@ -14,10 +14,8 @@ from .bounds import (
     BoundResult,
     ExtremalProfile,
     InfeasibleError,
-    SizeDecomposition,
     bound_arbitrary,
     bound_intervals,
-    decompose,
     density_guarantee,
     extremal_profile,
     extremal_sum,
@@ -31,8 +29,6 @@ from .congruence import (
     OverflowLimitError,
     SolutionClass,
     checked_mul,
-    gcd,
-    is_compatible,
     solve,
 )
 from .residues import (
@@ -40,11 +36,9 @@ from .residues import (
     CyclicInterval,
     EnumerationCapError,
     ResidueCollection,
-    ResiduePartitionCount,
     ResidueSet,
     enumerate_solutions,
     exact_count,
-    interval_members,
     partition_counts,
 )
 from .runner import (
@@ -75,25 +69,19 @@ __all__ = [
     "InfeasibleError",
     "OverflowLimitError",
     "ResidueCollection",
-    "ResiduePartitionCount",
     "ResidueSet",
     "RunnerPair",
-    "SizeDecomposition",
     "SolutionClass",
     "bound_arbitrary",
     "bound_intervals",
     "checked_mul",
     "circle_distance",
-    "decompose",
     "density_guarantee",
     "distant_interval",
     "enumerate_solutions",
     "exact_count",
     "extremal_profile",
     "extremal_sum",
-    "gcd",
-    "interval_members",
-    "is_compatible",
     "partition_counts",
     "rearrangement_bounds",
     "solve",

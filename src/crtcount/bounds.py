@@ -6,11 +6,12 @@ counts; residues.exact_count evaluates the product in closed form without
 building them). Sorting both count vectors and pairing them in
 opposite order can only shrink that product, and among sorted vectors with a
 fixed sum and per-entry cap a step-shaped "extremal" vector is the worst
-case. The closed form of the extremal pairing gives a floor on the solution
-count that depends only on the collection sizes; for cyclic intervals a
-sharper pigeonhole floor holds. Both floors are exposed here together with
-the one-third density guarantee and the family of instances sitting exactly
-on its boundary.
+case. extremal_sum is the closed form of that extremal pairing, and
+bound_arbitrary is the same closed form with caps m/g, n/g and length g: a
+floor on the solution count that depends only on the collection sizes. For
+cyclic intervals a sharper pigeonhole floor holds. Both floors are exposed
+here together with the one-third density guarantee and the family of
+instances sitting exactly on its boundary.
 """
 
 from __future__ import annotations
@@ -20,7 +21,12 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .congruence import INT64_MAX, OverflowLimitError, checked_mul
-from .residues import CyclicInterval, interval_block_pairs
+from .residues import (
+    ENUMERATION_CAP,
+    CyclicInterval,
+    EnumerationCapError,
+    interval_block_pairs,
+)
 
 CASE_EMPTY = "empty"
 CASE_BOUNDARY = "boundary"
@@ -29,26 +35,6 @@ CASE_OVERLAP = "overlap"
 
 class InfeasibleError(ValueError):
     """No admissible sequence exists for the requested size, cap, and length."""
-
-
-@dataclass(frozen=True)
-class SizeDecomposition:
-    """Euclidean split: size == quotient*divisor + remainder, 0 <= remainder < divisor."""
-
-    size: int
-    divisor: int
-    quotient: int
-    remainder: int
-
-
-def decompose(size: int, divisor: int) -> SizeDecomposition:
-    """Euclidean division of a collection size by a divisor."""
-    if size < 0:
-        raise ValueError(f"size must be non-negative, got {size}")
-    if divisor < 1:
-        raise ValueError(f"divisor must be positive, got {divisor}")
-    quotient, remainder = divmod(size, divisor)
-    return SizeDecomposition(size, divisor, quotient, remainder)
 
 
 def rearrangement_bounds(
@@ -94,7 +80,9 @@ def extremal_profile(size: int, cap: int, length: int) -> ExtremalProfile:
 
     With filled = size // cap full entries, the sequence is zero before
     position length - filled (1-indexed), carries the leftover
-    size - cap*filled there, and equals cap after it.
+    size - cap*filled there, and equals cap after it. Raises
+    EnumerationCapError, before building anything, when length exceeds
+    ENUMERATION_CAP.
     """
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
@@ -104,6 +92,10 @@ def extremal_profile(size: int, cap: int, length: int) -> ExtremalProfile:
         raise ValueError(f"size must be non-negative, got {size}")
     if size > cap * length:
         raise InfeasibleError(f"size {size} exceeds cap*length = {cap * length}")
+    if length > ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"profile length {length} exceeds the enumeration cap {ENUMERATION_CAP}"
+        )
     filled, leftover = divmod(size, cap)
     pivot = length - filled
     values = tuple(
@@ -157,6 +149,13 @@ def extremal_sum(
             raise InfeasibleError(f"size {size} exceeds cap*length = {cap * length}")
     if length < 1:
         raise ValueError(f"length must be positive, got {length}")
+    return _pairing_floor(size_a, cap_a, size_b, cap_b, length)
+
+
+def _pairing_floor(
+    size_a: int, cap_a: int, size_b: int, cap_b: int, length: int
+) -> BoundResult:
+    """extremal_sum's closed form on arguments its callers have validated."""
     filled_a, leftover_a = divmod(size_a, cap_a)
     filled_b, leftover_b = divmod(size_b, cap_b)
     span = filled_a + filled_b + 1
@@ -184,27 +183,15 @@ def _check_sizes(m: int, n: int, size_a: int, size_b: int) -> None:
 def bound_arbitrary(m: int, n: int, size_a: int, size_b: int) -> BoundResult:
     """Floor on the solution count for arbitrary collections of the given sizes.
 
-    Each size is decomposed by modulus/g with g = gcd(m, n); the cases split
-    on how the two quotients compare with g - 1. Agrees everywhere with
+    With g = gcd(m, n), each collection puts at most modulus/g members in
+    each of the g classes mod g, so the floor is the extremal pairing
     extremal_sum(size_a, m // g, size_b, n // g, g), and no pair of
     collections of these sizes has fewer solutions. Raises OverflowLimitError
     when the floor leaves the 64-bit range.
     """
     _check_sizes(m, n, size_a, size_b)
     g = math.gcd(m, n)
-    cap_a = m // g
-    cap_b = n // g
-    quot_a, rem_a = divmod(size_a, cap_a)
-    quot_b, rem_b = divmod(size_b, cap_b)
-    total = quot_a + quot_b
-    if total < g - 1:
-        return BoundResult(0, CASE_EMPTY)
-    if total == g - 1:
-        return BoundResult(_checked_bound(rem_a * rem_b), CASE_BOUNDARY)
-    return BoundResult(
-        _checked_bound((total - g) * cap_a * cap_b + rem_a * cap_b + rem_b * cap_a),
-        CASE_OVERLAP,
-    )
+    return _pairing_floor(size_a, m // g, size_b, n // g, g)
 
 
 def bound_intervals(m: int, n: int, size_a: int, size_b: int) -> int:

@@ -29,13 +29,7 @@ from .congruence import (
     checked_mul,
     solve,
 )
-from .residues import (
-    CyclicInterval,
-    EnumerationCapError,
-    ResidueSet,
-    enumerate_solutions,
-    exact_count,
-)
+from .residues import CyclicInterval, ResidueSet, enumerate_solutions, exact_count
 from .runner import RunnerPair, two_runner_witness
 
 
@@ -111,9 +105,15 @@ def _parse_speeds(text: str) -> tuple[int, int]:
         ) from None
 
 
-def _emit(args: argparse.Namespace, record: dict, lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, record: dict, lines: list[str] | None = None) -> None:
+    """Print the record as JSON, or as text: the given lines, else one per field."""
     if args.json:
         print(json.dumps(record))
+    elif lines is None:
+        for key, value in record.items():
+            if key != "status":
+                text = " ".join(map(str, value)) if isinstance(value, list) else value
+                print(f"{key} = {text}")
     else:
         for line in lines:
             print(line)
@@ -141,26 +141,21 @@ def _cmd_count(args: argparse.Namespace) -> int:
     how_many = exact_count(first, second)
     span = checked_mul(args.m // math.gcd(args.m, args.n), args.n)
     record: dict = {"status": "ok", "count": how_many, "modulus": span}
-    lines = [f"count = {how_many}", f"modulus = {span}"]
     if args.enumerate:
         solutions = enumerate_solutions(first, second)
         record["solutions"] = [cls.residue for cls in solutions]
-        lines.append("solutions = " + " ".join(str(cls.residue) for cls in solutions))
-    _emit(args, record, lines)
+    _emit(args, record)
     return 0
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     if args.mode == "arbitrary":
         result = bound_arbitrary(args.m, args.n, args.size_a, args.size_b)
-        _emit(
-            args,
-            {"status": "ok", "bound": result.lower_bound, "case": result.case_tag},
-            [f"bound = {result.lower_bound}", f"case = {result.case_tag}"],
-        )
+        record = {"status": "ok", "bound": result.lower_bound, "case": result.case_tag}
     else:
         value = bound_intervals(args.m, args.n, args.size_a, args.size_b)
-        _emit(args, {"status": "ok", "bound": value}, [f"bound = {value}"])
+        record = {"status": "ok", "bound": value}
+    _emit(args, record)
     return 0
 
 
@@ -175,13 +170,7 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
         "bound": result.lower_bound,
         "case": result.case_tag,
     }
-    lines = [
-        "profile_a = " + " ".join(str(v) for v in profile_a.values),
-        "profile_b = " + " ".join(str(v) for v in profile_b.values),
-        f"bound = {result.lower_bound}",
-        f"case = {result.case_tag}",
-    ]
-    _emit(args, record, lines)
+    _emit(args, record)
     return 0
 
 
@@ -343,10 +332,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except InfeasibleError as exc:
         _report_error(json_mode, str(exc))
         return 1
-    except (OverflowLimitError, EnumerationCapError) as exc:
-        _report_error(json_mode, str(exc))
-        return 2
-    except ValueError as exc:
+    except (OverflowLimitError, ValueError) as exc:  # EnumerationCapError is a ValueError
         _report_error(json_mode, str(exc))
         return 2
 

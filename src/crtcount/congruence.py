@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -22,13 +21,6 @@ def checked_mul(a: int, b: int) -> int:
     return product
 
 
-def gcd(u: int, v: int) -> int:
-    """Greatest common divisor of two non-negative integers; gcd(0, 0) == 0."""
-    if u < 0 or v < 0:
-        raise ValueError(f"gcd expects non-negative integers, got ({u}, {v})")
-    return math.gcd(u, v)
-
-
 @dataclass(frozen=True)
 class Congruence:
     """A single equation x ≡ residue (mod modulus).
@@ -44,10 +36,6 @@ class Congruence:
         if self.modulus < 1:
             raise ValueError(f"modulus must be positive, got {self.modulus}")
         object.__setattr__(self, "residue", self.residue % self.modulus)
-
-    def holds_for(self, x: int) -> bool:
-        """Whether the integer x satisfies this congruence."""
-        return x % self.modulus == self.residue
 
 
 @dataclass(frozen=True)
@@ -86,18 +74,6 @@ class SolutionClass:
             raise ValueError(f"modulus must be positive, got {self.modulus}")
         if not 0 <= self.residue < self.modulus:
             raise ValueError(f"residue {self.residue} out of range [0, {self.modulus})")
-
-
-def is_compatible(system: CongruenceSystem) -> bool:
-    """True iff every pair of congruences agrees modulo the gcd of its moduli.
-
-    This is exactly the condition under which the system has a solution.
-    """
-    for first, second in itertools.combinations(system.congruences, 2):
-        g = math.gcd(first.modulus, second.modulus)
-        if (first.residue - second.residue) % g:
-            return False
-    return True
 
 
 def solve(system: CongruenceSystem) -> SolutionClass | None:

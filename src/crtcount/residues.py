@@ -13,7 +13,7 @@ ENUMERATION_CAP = 10_000_000
 
 
 class EnumerationCapError(ValueError):
-    """Brute-force enumeration refused: the scan range exceeds the cap."""
+    """Refused: an enumeration's lcm(m, n) or a profile's length exceeds the cap."""
 
 
 @dataclass(frozen=True)
@@ -86,19 +86,7 @@ class CyclicInterval:
 ResidueCollection = Union[ResidueSet, CyclicInterval]
 
 
-@dataclass(frozen=True)
-class ResiduePartitionCount:
-    """Member counts of a collection split by residue class modulo a divisor."""
-
-    divisor: int
-    counts: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-
-def partition_counts(collection: ResidueCollection, divisor: int) -> ResiduePartitionCount:
+def partition_counts(collection: ResidueCollection, divisor: int) -> tuple[int, ...]:
     """Count the collection's members in each residue class modulo the divisor.
 
     The divisor must divide the collection's modulus, so each class modulo the
@@ -113,7 +101,7 @@ def partition_counts(collection: ResidueCollection, divisor: int) -> ResiduePart
     counts = [0] * divisor
     for member in collection:
         counts[member % divisor] += 1
-    return ResiduePartitionCount(divisor, tuple(counts))
+    return tuple(counts)
 
 
 def interval_block_pairs(size_a: int, size_b: int, g: int) -> tuple[int, int, int]:
@@ -224,8 +212,3 @@ def enumerate_solutions(
     ]
     found.sort()
     return [SolutionClass(x, span) for x in found]
-
-
-def interval_members(interval: CyclicInterval) -> ResidueSet:
-    """Materialize a cyclic interval as an explicit residue set."""
-    return ResidueSet(interval.modulus, interval.members())

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from crtcount import bounds
 from crtcount.bounds import (
     CASE_BOUNDARY,
     CASE_EMPTY,
@@ -14,7 +15,6 @@ from crtcount.bounds import (
     InfeasibleError,
     bound_arbitrary,
     bound_intervals,
-    decompose,
     density_guarantee,
     extremal_profile,
     extremal_sum,
@@ -24,24 +24,11 @@ from crtcount.bounds import (
 from crtcount.congruence import OverflowLimitError
 from crtcount.residues import (
     CyclicInterval,
+    EnumerationCapError,
     ResidueSet,
     exact_count,
     partition_counts,
 )
-
-
-def test_decompose_identity():
-    d = decompose(17, 5)
-    assert (d.quotient, d.remainder) == (3, 2)
-    assert d.quotient * d.divisor + d.remainder == d.size
-    assert decompose(0, 3).quotient == 0
-
-
-def test_decompose_validation():
-    with pytest.raises(ValueError):
-        decompose(-1, 3)
-    with pytest.raises(ValueError):
-        decompose(3, 0)
 
 
 def test_rearrangement_pinned():
@@ -100,6 +87,16 @@ def test_extremal_profile_validation():
         extremal_profile(1, 3, 0)
     with pytest.raises(ValueError):
         extremal_profile(-1, 3, 4)
+
+
+def test_extremal_profile_length_cap(monkeypatch):
+    # a small cap stands in for the real one, so nothing large is built
+    monkeypatch.setattr(bounds, "ENUMERATION_CAP", 8)
+    assert extremal_profile(3, 1, 8).values == (0, 0, 0, 0, 0, 1, 1, 1)
+    with pytest.raises(EnumerationCapError, match="length 9 exceeds the enumeration cap 8"):
+        extremal_profile(0, 1, 9)
+    with pytest.raises(InfeasibleError):  # sizes are still checked first
+        extremal_profile(10, 1, 9)
 
 
 @given(st.integers(1, 8), st.integers(1, 8), st.data())
@@ -195,8 +192,8 @@ def test_count_between_rearrangement_bounds():
         g = math.gcd(m, n)
         a = ResidueSet(m, tuple(rng.sample(range(m), rng.randint(0, m))))
         b = ResidueSet(n, tuple(rng.sample(range(n), rng.randint(0, n))))
-        counts_a = sorted(partition_counts(a, g).counts)
-        counts_b = sorted(partition_counts(b, g).counts)
+        counts_a = sorted(partition_counts(a, g))
+        counts_b = sorted(partition_counts(b, g))
         lower, _, upper = rearrangement_bounds(counts_a, counts_b, range(g))
         assert lower <= exact_count(a, b) <= upper
 

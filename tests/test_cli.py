@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from crtcount import bounds
 from crtcount.cli import parse_collection, run
 from crtcount.residues import CyclicInterval, ResidueSet
 
@@ -79,6 +80,17 @@ def test_count_text_and_enumeration():
     code, out, _ = invoke("count", "4", "6", "{0,1,2}", "{0,1,2}", "--enumerate")
     assert code == 0
     assert out == "count = 5\nmodulus = 12\nsolutions = 0 1 2 6 8\n"
+
+
+def test_count_with_no_solutions_lists_none():
+    assert invoke("count", "3", "6", "0+1", "1+2", "--enumerate") == (
+        0,
+        "count = 0\nmodulus = 6\nsolutions = \n",
+        "",
+    )
+    code, out, _ = invoke("count", "3", "6", "0+1", "1+2", "--enumerate", "--json")
+    assert code == 0
+    assert json.loads(out) == {"status": "ok", "count": 0, "modulus": 6, "solutions": []}
 
 
 def test_count_json_round_trip():
@@ -207,6 +219,18 @@ def test_enumeration_cap_is_a_usage_error():
     code, _, err = invoke("count", "10007", "10009", "0+1", "0+1", "--enumerate")
     assert code == 2
     assert "enumeration cap" in err
+
+
+def test_extremal_length_cap_is_a_usage_error(monkeypatch):
+    # a small cap stands in for the real one, so nothing large is built
+    monkeypatch.setattr(bounds, "ENUMERATION_CAP", 8)
+    assert invoke("extremal", "0", "1", "0", "1", "8")[0] == 0
+    message = "profile length 9 exceeds the enumeration cap 8"
+    assert invoke("extremal", "0", "1", "0", "1", "9") == (2, "", f"error: {message}\n")
+    code, out, err = invoke("extremal", "0", "1", "0", "1", "9", "--json")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"status": "error", "message": message}
 
 
 def test_exit_code_matrix():

@@ -1,5 +1,6 @@
 """Unit tests for the congruence solver and its integer guards."""
 
+import itertools
 import math
 import random
 
@@ -14,8 +15,6 @@ from crtcount.congruence import (
     OverflowLimitError,
     SolutionClass,
     checked_mul,
-    gcd,
-    is_compatible,
     solve,
 )
 
@@ -41,20 +40,6 @@ def test_checked_mul_overflow():
         checked_mul(-(2**62), -3)
 
 
-def test_gcd_values():
-    assert gcd(12, 18) == 6
-    assert gcd(7, 0) == 7
-    assert gcd(0, 0) == 0
-    assert gcd(1, 999) == 1
-
-
-def test_gcd_rejects_negatives():
-    with pytest.raises(ValueError):
-        gcd(-4, 6)
-    with pytest.raises(ValueError):
-        gcd(4, -6)
-
-
 def test_congruence_normalizes_residue():
     assert Congruence(7, 5) == Congruence(2, 5)
     assert Congruence(-1, 5).residue == 4
@@ -66,14 +51,6 @@ def test_congruence_rejects_bad_modulus():
         Congruence(0, 0)
     with pytest.raises(ValueError):
         Congruence(3, -2)
-
-
-def test_congruence_holds_for():
-    c = Congruence(2, 7)
-    assert c.holds_for(2)
-    assert c.holds_for(16)
-    assert c.holds_for(-5)
-    assert not c.holds_for(3)
 
 
 def test_system_rejects_empty():
@@ -122,11 +99,6 @@ def test_solve_overflow_refused():
         solve(big)
 
 
-def test_is_compatible_matches_pairwise_condition():
-    assert is_compatible(CongruenceSystem.from_pairs([(2, 6), (8, 9)]))
-    assert not is_compatible(CongruenceSystem.from_pairs([(2, 6), (7, 9)]))
-
-
 systems = st.lists(
     st.tuples(st.integers(-50, 50), st.integers(1, 12)),
     min_size=1,
@@ -138,7 +110,7 @@ systems = st.lists(
 def test_solve_agrees_with_scan(pairs):
     system = CongruenceSystem.from_pairs(pairs)
     span = math.lcm(*(c.modulus for c in system))
-    expected = [x for x in range(span) if all(c.holds_for(x) for c in system)]
+    expected = [x for x in range(span) if all(x % c.modulus == c.residue for c in system)]
     found = solve(system)
     if found is None:
         assert expected == []
@@ -150,7 +122,11 @@ def test_solve_agrees_with_scan(pairs):
 @given(systems)
 def test_solve_none_iff_incompatible(pairs):
     system = CongruenceSystem.from_pairs(pairs)
-    assert (solve(system) is None) == (not is_compatible(system))
+    compatible = all(
+        (c.residue - d.residue) % math.gcd(c.modulus, d.modulus) == 0
+        for c, d in itertools.combinations(system, 2)
+    )
+    assert (solve(system) is None) == (not compatible)
 
 
 @given(systems)
@@ -158,8 +134,8 @@ def test_solution_satisfies_every_congruence(pairs):
     system = CongruenceSystem.from_pairs(pairs)
     found = solve(system)
     if found is not None:
-        assert all(c.holds_for(found.residue) for c in system)
-        assert all(c.holds_for(found.residue + found.modulus) for c in system)
+        assert all(found.residue % c.modulus == c.residue for c in system)
+        assert all((found.residue + found.modulus) % c.modulus == c.residue for c in system)
 
 
 def test_solve_random_large_moduli():

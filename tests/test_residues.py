@@ -16,7 +16,6 @@ from crtcount.residues import (
     enumerate_solutions,
     exact_count,
     interval_block_pairs,
-    interval_members,
     partition_counts,
 )
 
@@ -78,25 +77,17 @@ def test_interval_membership_is_by_class():
     assert -2 in arc  # -2 ≡ 4 (mod 6)
 
 
-def test_interval_members_round_trip():
-    arc = CyclicInterval(8, 6, 5)
-    s = interval_members(arc)
-    assert s.modulus == 8
-    assert set(s.members) == set(arc.members())
-    assert s.size == arc.size
-
-
 def test_partition_counts_example():
     s = ResidueSet(12, (0, 1, 4, 5, 8, 11))
     part = partition_counts(s, 4)
-    assert part.counts == (3, 2, 0, 1)
-    assert part.total == s.size
+    assert part == (3, 2, 0, 1)
+    assert sum(part) == s.size
 
 
 def test_partition_counts_interval():
     arc = CyclicInterval(12, 10, 5)  # {10, 11, 0, 1, 2}
     part = partition_counts(arc, 3)
-    assert part.counts == (1, 2, 2)
+    assert part == (1, 2, 2)
 
 
 def test_partition_requires_dividing_divisor():
