@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+from . import residues
 from .congruence import INT64_MAX, OverflowLimitError, checked_mul
 from .residues import (
-    ENUMERATION_CAP,
     CyclicInterval,
     EnumerationCapError,
     interval_block_pairs,
@@ -65,13 +65,19 @@ def rearrangement_bounds(
 class ExtremalProfile:
     """The worst-case sorted count vector: zeros, one leftover entry, then caps."""
 
-    length: int
-    cap: int
     values: tuple[int, ...]
 
-    @property
-    def total(self) -> int:
-        return sum(self.values)
+
+def _check_profile(size: int, cap: int, length: int) -> None:
+    """Refuse a size, cap and length that admit no sorted profile."""
+    if cap < 1:
+        raise ValueError(f"cap must be positive, got {cap}")
+    if length < 1:
+        raise ValueError(f"length must be positive, got {length}")
+    if size < 0:
+        raise ValueError(f"size must be non-negative, got {size}")
+    if size > cap * length:
+        raise InfeasibleError(f"size {size} exceeds cap*length = {cap * length}")
 
 
 def extremal_profile(size: int, cap: int, length: int) -> ExtremalProfile:
@@ -84,25 +90,17 @@ def extremal_profile(size: int, cap: int, length: int) -> ExtremalProfile:
     EnumerationCapError, before building anything, when length exceeds
     ENUMERATION_CAP.
     """
-    if cap < 1:
-        raise ValueError(f"cap must be positive, got {cap}")
-    if length < 1:
-        raise ValueError(f"length must be positive, got {length}")
-    if size < 0:
-        raise ValueError(f"size must be non-negative, got {size}")
-    if size > cap * length:
-        raise InfeasibleError(f"size {size} exceeds cap*length = {cap * length}")
-    if length > ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"profile length {length} exceeds the enumeration cap {ENUMERATION_CAP}"
-        )
+    _check_profile(size, cap, length)
+    limit = residues.ENUMERATION_CAP  # read at call time, like enumerate_solutions
+    if length > limit:
+        raise EnumerationCapError(f"profile length {length} exceeds the enumeration cap {limit}")
     filled, leftover = divmod(size, cap)
     pivot = length - filled
     values = tuple(
         0 if k < pivot else leftover if k == pivot else cap
         for k in range(1, length + 1)
     )
-    return ExtremalProfile(length=length, cap=cap, values=values)
+    return ExtremalProfile(values=values)
 
 
 class BoundResult(NamedTuple):
@@ -138,17 +136,11 @@ def extremal_sum(
         plus the two edge terms leftover_a * cap_b and leftover_b * cap_a.
 
     The tag records which case fired ("empty", "boundary", "overlap").
-    Raises OverflowLimitError when the sum leaves the 64-bit range.
+    Each side is validated exactly as extremal_profile validates it, side a
+    first. Raises OverflowLimitError when the sum leaves the 64-bit range.
     """
-    for size, cap in ((size_a, cap_a), (size_b, cap_b)):
-        if cap < 1:
-            raise ValueError(f"cap must be positive, got {cap}")
-        if size < 0:
-            raise ValueError(f"size must be non-negative, got {size}")
-        if size > cap * length:
-            raise InfeasibleError(f"size {size} exceeds cap*length = {cap * length}")
-    if length < 1:
-        raise ValueError(f"length must be positive, got {length}")
+    _check_profile(size_a, cap_a, length)
+    _check_profile(size_b, cap_b, length)
     return _pairing_floor(size_a, cap_a, size_b, cap_b, length)
 
 
@@ -215,13 +207,11 @@ def density_guarantee(m: int, n: int, size_a: int, size_b: int) -> bool:
     """Whether interval collections of these sizes are forced to share a solution.
 
     True iff the moduli are distinct and both sizes are strictly greater than
-    one third of their modulus (exact integer comparisons). When true,
+    one third of their modulus (exact integer comparisons). It refuses sizes
+    outside [0, modulus] as bound_intervals does, so whenever it returns True,
     bound_intervals(m, n, size_a, size_b) >= 1.
     """
-    if m < 1 or n < 1:
-        raise ValueError(f"moduli must be positive, got ({m}, {n})")
-    if size_a < 0 or size_b < 0:
-        raise ValueError(f"sizes must be non-negative, got ({size_a}, {size_b})")
+    _check_sizes(m, n, size_a, size_b)
     return m != n and 3 * size_a > m and 3 * size_b > n
 
 
@@ -236,7 +226,7 @@ def tightness_instance(scale: int) -> tuple[CyclicInterval, CyclicInterval]:
     """
     if scale < 1:
         raise ValueError(f"scale must be positive, got {scale}")
-    checked_mul(3 * scale, 6 * scale)  # the solution modulus must stay representable
+    checked_mul(3 * scale, 6 * scale)  # the moduli's product 18*scale**2 must fit 64 bits
     first = CyclicInterval(modulus=3 * scale, start=0, length=scale)
     second = CyclicInterval(modulus=6 * scale, start=scale, length=2 * scale)
     return first, second

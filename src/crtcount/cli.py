@@ -26,7 +26,6 @@ from .congruence import (
     Congruence,
     CongruenceSystem,
     OverflowLimitError,
-    checked_mul,
     solve,
 )
 from .residues import CyclicInterval, ResidueSet, enumerate_solutions, exact_count
@@ -44,7 +43,6 @@ def parse_collection(text: str, modulus: int) -> ResidueSet | CyclicInterval:
         raise ValueError(f"modulus must be positive, got {modulus}")
     if text.startswith("{") and text.endswith("}"):
         body = text[1:-1].strip()
-        members: list[int] = []
         seen: set[int] = set()
         if body:
             for token in body.split(","):
@@ -61,8 +59,7 @@ def parse_collection(text: str, modulus: int) -> ResidueSet | CyclicInterval:
                         f"duplicate residue {token!r} in {text!r} (mod {modulus})"
                     )
                 seen.add(residue)
-                members.append(residue)
-        return ResidueSet(modulus=modulus, members=tuple(members))
+        return ResidueSet(modulus=modulus, members=tuple(seen))
     head, sep, length_text = text[1:].partition("+")  # skip a leading sign on start
     if sep:
         start_text = text[:1] + head
@@ -139,8 +136,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     first = parse_collection(args.collection_a, args.m)
     second = parse_collection(args.collection_b, args.n)
     how_many = exact_count(first, second)
-    span = checked_mul(args.m // math.gcd(args.m, args.n), args.n)
-    record: dict = {"status": "ok", "count": how_many, "modulus": span}
+    record: dict = {"status": "ok", "count": how_many, "modulus": math.lcm(args.m, args.n)}
     if args.enumerate:
         solutions = enumerate_solutions(first, second)
         record["solutions"] = [cls.residue for cls in solutions]
@@ -326,14 +322,13 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits on usage errors and --help
         return int(exc.code or 0)
-    json_mode = bool(getattr(args, "json", False))
     try:
         return args.handler(args)
     except InfeasibleError as exc:
-        _report_error(json_mode, str(exc))
+        _report_error(args.json, str(exc))
         return 1
     except (OverflowLimitError, ValueError) as exc:  # EnumerationCapError is a ValueError
-        _report_error(json_mode, str(exc))
+        _report_error(args.json, str(exc))
         return 2
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 INT64_MAX = 2**63 - 1
 
@@ -54,12 +54,6 @@ class CongruenceSystem:
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "CongruenceSystem":
         """Build a system from (residue, modulus) pairs."""
         return cls(tuple(Congruence(residue, modulus) for residue, modulus in pairs))
-
-    def __iter__(self) -> Iterator[Congruence]:
-        return iter(self.congruences)
-
-    def __len__(self) -> int:
-        return len(self.congruences)
 
 
 @dataclass(frozen=True)

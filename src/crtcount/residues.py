@@ -34,10 +34,11 @@ class ResidueSet:
         for residue in ordered:
             if not 0 <= residue < self.modulus:
                 raise ValueError(f"residue {residue} out of range [0, {self.modulus})")
-        if len(set(ordered)) != len(ordered):
+        lookup = frozenset(ordered)
+        if len(lookup) != len(ordered):
             raise ValueError("duplicate residues in collection")
         object.__setattr__(self, "members", ordered)
-        object.__setattr__(self, "_lookup", frozenset(ordered))
+        object.__setattr__(self, "_lookup", lookup)
 
     @property
     def size(self) -> int:
@@ -183,12 +184,11 @@ def _members_by_class(
     return lambda c: buckets.get(c, ())
 
 
-def enumerate_solutions(
-    a: ResidueCollection, b: ResidueCollection, cap: int = ENUMERATION_CAP
-) -> list[SolutionClass]:
+def enumerate_solutions(a: ResidueCollection, b: ResidueCollection) -> list[SolutionClass]:
     """Every common solution class modulo lcm(m, n), in increasing order.
 
-    Refuses when lcm(m, n) exceeds the cap. The problem is symmetric, so let a
+    Raises EnumerationCapError when lcm(m, n) exceeds ENUMERATION_CAP, read
+    at call time, before anything is built. The problem is symmetric, so let a
     be the smaller collection. Each member α of a is looked up against the
     members β of b in its class mod g = gcd(m, n), and each such pair lifts by
     CRT to x = α + m*t with t ≡ (β - α)/g * (m/g)^-1 (mod n/g), which depends
@@ -197,8 +197,10 @@ def enumerate_solutions(
     """
     g = math.gcd(a.modulus, b.modulus)
     span = checked_mul(a.modulus // g, b.modulus)
-    if span > cap:
-        raise EnumerationCapError(f"scan range {span} exceeds the enumeration cap {cap}")
+    if span > ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"scan range {span} exceeds the enumeration cap {ENUMERATION_CAP}"
+        )
     if a.size > b.size:
         a, b = b, a
     mod_a = a.modulus

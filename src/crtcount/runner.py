@@ -23,8 +23,9 @@ DISTANT_THRESHOLD = Fraction(1, 3)
 
 def circle_distance(x: Fraction) -> Fraction:
     """Distance from x to the nearest integer, as an exact rational in [0, 1/2]."""
-    frac = Fraction(x) % 1
-    return min(frac, 1 - frac)
+    x = Fraction(x)
+    r = x.numerator % x.denominator
+    return Fraction(min(r, x.denominator - r), x.denominator)
 
 
 def distant_interval(speed: int, denominator: int, runners: int = 2) -> CyclicInterval:

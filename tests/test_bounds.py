@@ -2,12 +2,13 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crtcount import bounds
+from crtcount import residues
 from crtcount.bounds import (
     CASE_BOUNDARY,
     CASE_EMPTY,
@@ -91,7 +92,7 @@ def test_extremal_profile_validation():
 
 def test_extremal_profile_length_cap(monkeypatch):
     # a small cap stands in for the real one, so nothing large is built
-    monkeypatch.setattr(bounds, "ENUMERATION_CAP", 8)
+    monkeypatch.setattr(residues, "ENUMERATION_CAP", 8)
     assert extremal_profile(3, 1, 8).values == (0, 0, 0, 0, 0, 1, 1, 1)
     with pytest.raises(EnumerationCapError, match="length 9 exceeds the enumeration cap 8"):
         extremal_profile(0, 1, 9)
@@ -105,7 +106,7 @@ def test_extremal_profile_shape(cap, length, data):
     profile = extremal_profile(size, cap, length)
     values = profile.values
     assert len(values) == length
-    assert profile.total == size
+    assert sum(values) == size
     assert all(0 <= v <= cap for v in values)
     assert all(values[i] <= values[i + 1] for i in range(length - 1))
 
@@ -121,6 +122,19 @@ def test_extremal_sum_validation():
         extremal_sum(9, 2, 0, 1, 4)
     with pytest.raises(ValueError):
         extremal_sum(1, 2, 1, 2, 0)
+    # length is checked before feasibility, as extremal_profile does
+    with pytest.raises(ValueError, match="length must be positive") as refused:
+        extremal_sum(1, 1, 1, 1, 0)
+    assert not isinstance(refused.value, InfeasibleError)
+    # either side refuses with the profile's own error and message
+    for size, cap, length in ((1, 0, 4), (1, 3, 0), (-1, 3, 4), (13, 3, 4)):
+        with pytest.raises(ValueError) as by_profile:
+            extremal_profile(size, cap, length)
+        error, message = type(by_profile.value), re.escape(str(by_profile.value))
+        with pytest.raises(error, match=message):
+            extremal_sum(size, cap, 0, 1, length)
+        with pytest.raises(error, match=message):
+            extremal_sum(0, 1, size, cap, length)
 
 
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8), st.data())
@@ -262,6 +276,11 @@ def test_density_guarantee_validation():
         density_guarantee(0, 6, 1, 1)
     with pytest.raises(ValueError):
         density_guarantee(3, 6, -1, 1)
+    # sizes above their modulus are refused, as bound_intervals refuses them
+    with pytest.raises(ValueError):
+        density_guarantee(4, 6, 5, 1)
+    with pytest.raises(ValueError):
+        density_guarantee(4, 6, 100, 100)
 
 
 def test_guarantee_implies_positive_interval_bound():

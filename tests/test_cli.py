@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from crtcount import bounds
+from crtcount import residues
 from crtcount.cli import parse_collection, run
 from crtcount.residues import CyclicInterval, ResidueSet
 
@@ -223,7 +223,7 @@ def test_enumeration_cap_is_a_usage_error():
 
 def test_extremal_length_cap_is_a_usage_error(monkeypatch):
     # a small cap stands in for the real one, so nothing large is built
-    monkeypatch.setattr(bounds, "ENUMERATION_CAP", 8)
+    monkeypatch.setattr(residues, "ENUMERATION_CAP", 8)
     assert invoke("extremal", "0", "1", "0", "1", "8")[0] == 0
     message = "profile length 9 exceeds the enumeration cap 8"
     assert invoke("extremal", "0", "1", "0", "1", "9") == (2, "", f"error: {message}\n")

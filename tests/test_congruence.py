@@ -60,8 +60,8 @@ def test_system_rejects_empty():
 
 def test_system_from_pairs():
     system = CongruenceSystem.from_pairs([(2, 3), (3, 5)])
-    assert len(system) == 2
-    assert [c.modulus for c in system] == [3, 5]
+    assert len(system.congruences) == 2
+    assert [c.modulus for c in system.congruences] == [3, 5]
 
 
 def test_solution_class_validates_range():
@@ -109,8 +109,9 @@ systems = st.lists(
 @given(systems)
 def test_solve_agrees_with_scan(pairs):
     system = CongruenceSystem.from_pairs(pairs)
-    span = math.lcm(*(c.modulus for c in system))
-    expected = [x for x in range(span) if all(x % c.modulus == c.residue for c in system)]
+    congruences = system.congruences
+    span = math.lcm(*(c.modulus for c in congruences))
+    expected = [x for x in range(span) if all(x % c.modulus == c.residue for c in congruences)]
     found = solve(system)
     if found is None:
         assert expected == []
@@ -124,7 +125,7 @@ def test_solve_none_iff_incompatible(pairs):
     system = CongruenceSystem.from_pairs(pairs)
     compatible = all(
         (c.residue - d.residue) % math.gcd(c.modulus, d.modulus) == 0
-        for c, d in itertools.combinations(system, 2)
+        for c, d in itertools.combinations(system.congruences, 2)
     )
     assert (solve(system) is None) == (not compatible)
 
@@ -134,8 +135,9 @@ def test_solution_satisfies_every_congruence(pairs):
     system = CongruenceSystem.from_pairs(pairs)
     found = solve(system)
     if found is not None:
-        assert all(found.residue % c.modulus == c.residue for c in system)
-        assert all((found.residue + found.modulus) % c.modulus == c.residue for c in system)
+        congruences = system.congruences
+        assert all(found.residue % c.modulus == c.residue for c in congruences)
+        assert all((found.residue + found.modulus) % c.modulus == c.residue for c in congruences)
 
 
 def test_solve_random_large_moduli():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from crtcount import residues
 from crtcount.bounds import bound_intervals
 from crtcount.residues import (
     ENUMERATION_CAP,
@@ -131,12 +132,13 @@ def test_enumerate_matches_membership():
         assert cls.residue % 8 in b
 
 
-def test_enumeration_cap_refusal():
+def test_enumeration_cap_refusal(monkeypatch):
     a = ResidueSet(10_007, (0,))
     b = ResidueSet(10_009, (0,))
     with pytest.raises(EnumerationCapError):
         enumerate_solutions(a, b)
-    assert len(enumerate_solutions(a, b, cap=10_007 * 10_009)) == 1
+    monkeypatch.setattr(residues, "ENUMERATION_CAP", 10_007 * 10_009)
+    assert len(enumerate_solutions(a, b)) == 1
 
 
 def test_exact_count_overflow_refused():

@@ -29,6 +29,18 @@ def test_circle_distance_values():
     assert circle_distance(Fraction(-1, 3)) == Fraction(1, 3)
 
 
+def test_circle_distance_matches_fractional_part_on_every_small_denominator():
+    # the former rational expression, kept here as the reference
+    def reference(x):
+        frac = Fraction(x) % 1
+        return min(frac, 1 - frac)
+
+    for q in range(1, 400):
+        for p in range(-q, q + 1):
+            x = Fraction(p, q)
+            assert circle_distance(x) == reference(x), x
+
+
 @given(st.fractions(max_denominator=1000))
 def test_circle_distance_period_and_reflection(x):
     d = circle_distance(x)
