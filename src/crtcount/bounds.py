@@ -17,11 +17,10 @@ instances sitting exactly on its boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from . import residues
-from .congruence import INT64_MAX, OverflowLimitError, checked_mul
+from .congruence import INT64_MAX, OverflowLimitError, _Value, checked_mul
 from .residues import (
     CyclicInterval,
     EnumerationCapError,
@@ -61,11 +60,13 @@ def rearrangement_bounds(
     return lower, permuted, upper
 
 
-@dataclass(frozen=True)
-class ExtremalProfile:
+class ExtremalProfile(_Value):
     """The worst-case sorted count vector: zeros, one leftover entry, then caps."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[int, ...]) -> None:
+        object.__setattr__(self, "values", values)
 
 
 def _check_profile(size: int, cap: int, length: int) -> None:

@@ -323,6 +323,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits on usage errors and --help
         return int(exc.code or 0)
     try:
+        # argparse hands a `--` given as a value (--M=--, or a second `--`) over as []
+        if empty := [name for name, value in vars(args).items() if value == []]:
+            raise ValueError(f"argument {empty[0]}: invalid value '--'")
         return args.handler(args)
     except InfeasibleError as exc:
         _report_error(args.json, str(exc))

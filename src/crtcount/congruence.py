@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 INT64_MAX = 2**63 - 1
@@ -21,31 +20,64 @@ def checked_mul(a: int, b: int) -> int:
     return product
 
 
-@dataclass(frozen=True)
-class Congruence:
+class _Value:
+    """Base of the immutable value types: fields are the __slots__ in
+    constructor order, set once in __init__ by object.__setattr__ (underscored
+    slots are caches, left out). Equal within one class only, hashed and shown
+    by field, pickled and copied by calling the constructor again.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = tuple(name for name in cls.__slots__ if name[0] != "_")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(self.__match_args__, self._values()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Congruence(_Value):
     """A single equation x ≡ residue (mod modulus).
 
     The residue is normalized into [0, modulus) at construction, so equal
     classes compare and hash equal regardless of the representative given.
     """
 
-    residue: int
-    modulus: int
+    __slots__ = ("residue", "modulus")
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
+    def __init__(self, residue: int, modulus: int) -> None:
+        if modulus < 1:
+            raise ValueError(f"modulus must be positive, got {modulus}")
+        object.__setattr__(self, "residue", residue % modulus)
+        object.__setattr__(self, "modulus", modulus)
 
 
-@dataclass(frozen=True)
-class CongruenceSystem:
+class CongruenceSystem(_Value):
     """An ordered, non-empty list of simultaneous congruences."""
 
-    congruences: tuple[Congruence, ...]
+    __slots__ = ("congruences",)
 
-    def __post_init__(self) -> None:
-        items = tuple(self.congruences)
+    def __init__(self, congruences: Iterable[Congruence]) -> None:
+        items = tuple(congruences)
         if not items:
             raise ValueError("a congruence system needs at least one congruence")
         object.__setattr__(self, "congruences", items)
@@ -56,18 +88,18 @@ class CongruenceSystem:
         return cls(tuple(Congruence(residue, modulus) for residue, modulus in pairs))
 
 
-@dataclass(frozen=True)
-class SolutionClass:
+class SolutionClass(_Value):
     """The residue class x ≡ residue (mod modulus) solving a whole system."""
 
-    residue: int
-    modulus: int
+    __slots__ = ("residue", "modulus")
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
-        if not 0 <= self.residue < self.modulus:
-            raise ValueError(f"residue {self.residue} out of range [0, {self.modulus})")
+    def __init__(self, residue: int, modulus: int) -> None:
+        if modulus < 1:
+            raise ValueError(f"modulus must be positive, got {modulus}")
+        if not 0 <= residue < modulus:
+            raise ValueError(f"residue {residue} out of range [0, {modulus})")
+        object.__setattr__(self, "residue", residue)
+        object.__setattr__(self, "modulus", modulus)
 
 
 def solve(system: CongruenceSystem) -> SolutionClass | None:

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Union
 
-from .congruence import SolutionClass, checked_mul
+from .congruence import SolutionClass, _Value, checked_mul
 
 ENUMERATION_CAP = 10_000_000
 
@@ -16,27 +15,26 @@ class EnumerationCapError(ValueError):
     """Refused: an enumeration's lcm(m, n) or a profile's length exceeds the cap."""
 
 
-@dataclass(frozen=True)
-class ResidueSet:
+class ResidueSet(_Value):
     """An arbitrary set of residue classes modulo a fixed modulus.
 
     Members are stored strictly sorted; duplicates and out-of-range residues
     are rejected rather than silently normalized.
     """
 
-    modulus: int
-    members: tuple[int, ...]
+    __slots__ = ("modulus", "members", "_lookup")
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
-        ordered = tuple(sorted(self.members))
+    def __init__(self, modulus: int, members: Iterable[int]) -> None:
+        if modulus < 1:
+            raise ValueError(f"modulus must be positive, got {modulus}")
+        ordered = tuple(sorted(members))
         for residue in ordered:
-            if not 0 <= residue < self.modulus:
-                raise ValueError(f"residue {residue} out of range [0, {self.modulus})")
+            if not 0 <= residue < modulus:
+                raise ValueError(f"residue {residue} out of range [0, {modulus})")
         lookup = frozenset(ordered)
         if len(lookup) != len(ordered):
             raise ValueError("duplicate residues in collection")
+        object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "members", ordered)
         object.__setattr__(self, "_lookup", lookup)
 
@@ -45,30 +43,29 @@ class ResidueSet:
         return len(self.members)
 
     def __contains__(self, residue: int) -> bool:
-        return residue in self._lookup  # type: ignore[attr-defined]
+        return residue in self._lookup
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
 
 
-@dataclass(frozen=True)
-class CyclicInterval:
+class CyclicInterval(_Value):
     """A contiguous arc of residue classes modulo a modulus, wrapping past the top.
 
     length == 0 is the empty collection and length == modulus the full residue
     system. The start is normalized into [0, modulus).
     """
 
-    modulus: int
-    start: int
-    length: int
+    __slots__ = ("modulus", "start", "length")
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
-        if not 0 <= self.length <= self.modulus:
-            raise ValueError(f"length {self.length} out of range [0, {self.modulus}]")
-        object.__setattr__(self, "start", self.start % self.modulus)
+    def __init__(self, modulus: int, start: int, length: int) -> None:
+        if modulus < 1:
+            raise ValueError(f"modulus must be positive, got {modulus}")
+        if not 0 <= length <= modulus:
+            raise ValueError(f"length {length} out of range [0, {modulus}]")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "start", start % modulus)
+        object.__setattr__(self, "length", length)
 
     @property
     def size(self) -> int:

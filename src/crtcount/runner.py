@@ -12,10 +12,9 @@ speeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .congruence import checked_mul
+from .congruence import _Value, checked_mul
 from .residues import CyclicInterval
 
 DISTANT_THRESHOLD = Fraction(1, 3)
@@ -53,35 +52,33 @@ def distant_interval(speed: int, denominator: int, runners: int = 2) -> CyclicIn
     return CyclicInterval(modulus=period, start=start, length=length)
 
 
-@dataclass(frozen=True)
-class RunnerPair:
+class RunnerPair(_Value):
     """Two distinct positive integer speeds."""
 
-    speed_m: int
-    speed_n: int
+    __slots__ = ("speed_m", "speed_n")
 
-    def __post_init__(self) -> None:
-        if self.speed_m < 1 or self.speed_n < 1:
-            raise ValueError(
-                f"speeds must be positive, got ({self.speed_m}, {self.speed_n})"
-            )
-        if self.speed_m == self.speed_n:
-            raise ValueError(f"speeds must be distinct, got {self.speed_m} twice")
+    def __init__(self, speed_m: int, speed_n: int) -> None:
+        if speed_m < 1 or speed_n < 1:
+            raise ValueError(f"speeds must be positive, got ({speed_m}, {speed_n})")
+        if speed_m == speed_n:
+            raise ValueError(f"speeds must be distinct, got {speed_m} twice")
+        object.__setattr__(self, "speed_m", speed_m)
+        object.__setattr__(self, "speed_n", speed_n)
 
 
-@dataclass(frozen=True)
-class DistantWitness:
+class DistantWitness(_Value):
     """A time in [0, 1) at which both runners are at least 1/3 from the origin."""
 
-    time: Fraction
-    distances: tuple[Fraction, Fraction]
+    __slots__ = ("time", "distances")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.time < 1:
-            raise ValueError(f"witness time must lie in [0, 1), got {self.time}")
-        for d in self.distances:
+    def __init__(self, time: Fraction, distances: tuple[Fraction, Fraction]) -> None:
+        if not 0 <= time < 1:
+            raise ValueError(f"witness time must lie in [0, 1), got {time}")
+        for d in distances:
             if d < DISTANT_THRESHOLD:
                 raise ValueError(f"distance {d} is below the 1/3 threshold")
+        object.__setattr__(self, "time", time)
+        object.__setattr__(self, "distances", distances)
 
 
 def two_runner_witness(pair: RunnerPair) -> DistantWitness:

@@ -255,6 +255,23 @@ def test_exit_code_matrix():
         assert code == expected, argv
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("tightness", "--M=--"), "scale"),
+        (("runner", "--speeds=--"), "speeds"),
+        (("bound", "--", "arbitrary", "4", "6", "--", "1"), "size_a"),
+    ],
+)
+def test_double_dash_as_a_value_is_a_usage_error(argv, name):
+    message = f"argument {name}: invalid value '--'"
+    assert invoke(*argv) == (2, "", f"error: {message}\n")
+    code, out, err = invoke(argv[0], "--json", *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"status": "error", "message": message}
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "crtcount.cli", "solve", "2:3", "3:5"],

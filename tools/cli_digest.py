@@ -1,9 +1,11 @@
 """Print one SHA-256 digest of the CLI's behaviour over seeded random argv.
 
 Runs crtcount.cli.run in-process on argv lists drawn from a seeded
-generator and hashes every (argv, exit status, stdout, stderr). The argv
-cover all six subcommands in text and --json mode, --help, malformed
-tokens, and values above 2**63. Inputs stay cheap under the real caps: an
+generator and hashes every (argv, exit status, stdout, stderr). A second
+line tallies the outcomes (each exit status, and each type of exception
+that escaped run), so two trees with different digests show which outcomes
+moved. The argv cover all six subcommands in text and --json mode, --help,
+malformed tokens, and values above 2**63. Inputs stay cheap under the real caps: an
 --enumerate run has either small moduli or an lcm far above the cap, and an
 extremal length is either small or above the cap.
 
@@ -142,8 +144,8 @@ def main() -> None:
     os.environ["COLUMNS"] = "80"  # argparse wraps help and usage to the terminal width
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     hexdigest, outcomes = digest(args.seed)
-    tally = "  ".join(f"{outcome}: {n}" for outcome, n in sorted(outcomes.items()))
-    print(f"{hexdigest}  {COUNT} argv  {tally}")
+    print(f"{hexdigest}  {COUNT} argv")
+    print("  ".join(f"{outcome}: {n}" for outcome, n in sorted(outcomes.items())))
 
 
 if __name__ == "__main__":
