@@ -227,7 +227,7 @@ def tightness_instance(scale: int) -> tuple[CyclicInterval, CyclicInterval]:
     """
     if scale < 1:
         raise ValueError(f"scale must be positive, got {scale}")
-    checked_mul(3 * scale, 6 * scale)  # the moduli's product 18*scale**2 must fit 64 bits
+    larger = checked_mul(6, scale)  # the larger modulus, also the lcm
     first = CyclicInterval(modulus=3 * scale, start=0, length=scale)
-    second = CyclicInterval(modulus=6 * scale, start=scale, length=2 * scale)
+    second = CyclicInterval(modulus=larger, start=scale, length=2 * scale)
     return first, second

@@ -1,18 +1,24 @@
 """Command-line front end.
 
-Subcommands: solve, count, bound, extremal, tightness, runner. Each prints a
-human-readable report by default, or a single JSON record on stdout with
---json. Exit status is 0 on success, 1 when the system has no solution or the
-request is infeasible, and 2 on usage errors and overflow refusals.
+Subcommands: solve, count, bound, extremal, tightness, runner. Each handler
+returns a record and, optionally, its text lines; run alone prints and picks
+the exit status. A result goes to stdout as text (the lines, else one
+`key = value` line per field) or, with --json, as one JSON record; a refusal
+goes to stderr as `error: <message>` or the record {"status": "error",
+"message": ...}. Exit status is 0 when the record's status is "ok", 1 when the
+system has no solution or the request is infeasible, and 2 on usage errors and
+overflow refusals. run can be called repeatedly in one process; every call
+reuses one parser, built on the first.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from .bounds import (
     InfeasibleError,
@@ -102,37 +108,34 @@ def _parse_speeds(text: str) -> tuple[int, int]:
         ) from None
 
 
-def _emit(args: argparse.Namespace, record: dict, lines: list[str] | None = None) -> None:
+def _emit(json_mode: bool, record: dict, lines: list[str] | None, file: TextIO) -> None:
     """Print the record as JSON, or as text: the given lines, else one per field."""
-    if args.json:
-        print(json.dumps(record))
+    if json_mode:
+        print(json.dumps(record), file=file)
     elif lines is None:
         for key, value in record.items():
             if key != "status":
                 text = " ".join(map(str, value)) if isinstance(value, list) else value
-                print(f"{key} = {text}")
+                print(f"{key} = {text}", file=file)
     else:
         for line in lines:
-            print(line)
+            print(line, file=file)
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: argparse.Namespace) -> tuple[dict, list[str]]:
     system = CongruenceSystem(
         tuple(_parse_congruence(token) for token in args.congruences)
     )
     found = solve(system)
     if found is None:
-        _emit(args, {"status": "no-solution"}, ["no solution"])
-        return 1
-    _emit(
-        args,
+        return {"status": "no-solution"}, ["no solution"]
+    return (
         {"status": "ok", "residue": found.residue, "modulus": found.modulus},
         [f"x ≡ {found.residue} (mod {found.modulus})"],
     )
-    return 0
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: argparse.Namespace) -> tuple[dict, None]:
     first = parse_collection(args.collection_a, args.m)
     second = parse_collection(args.collection_b, args.n)
     how_many = exact_count(first, second)
@@ -140,53 +143,42 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if args.enumerate:
         solutions = enumerate_solutions(first, second)
         record["solutions"] = [cls.residue for cls in solutions]
-    _emit(args, record)
-    return 0
+    return record, None
 
 
-def _cmd_bound(args: argparse.Namespace) -> int:
+def _cmd_bound(args: argparse.Namespace) -> tuple[dict, None]:
     if args.mode == "arbitrary":
         result = bound_arbitrary(args.m, args.n, args.size_a, args.size_b)
-        record = {"status": "ok", "bound": result.lower_bound, "case": result.case_tag}
-    else:
-        value = bound_intervals(args.m, args.n, args.size_a, args.size_b)
-        record = {"status": "ok", "bound": value}
-    _emit(args, record)
-    return 0
+        return {"status": "ok", "bound": result.lower_bound, "case": result.case_tag}, None
+    value = bound_intervals(args.m, args.n, args.size_a, args.size_b)
+    return {"status": "ok", "bound": value}, None
 
 
-def _cmd_extremal(args: argparse.Namespace) -> int:
+def _cmd_extremal(args: argparse.Namespace) -> tuple[dict, None]:
     profile_a = extremal_profile(args.size_a, args.cap_a, args.length)
     profile_b = extremal_profile(args.size_b, args.cap_b, args.length)
     result = extremal_sum(args.size_a, args.cap_a, args.size_b, args.cap_b, args.length)
-    record = {
+    return {
         "status": "ok",
         "profile_a": list(profile_a.values),
         "profile_b": list(profile_b.values),
         "bound": result.lower_bound,
         "case": result.case_tag,
-    }
-    _emit(args, record)
-    return 0
+    }, None
 
 
-def _cmd_tightness(args: argparse.Namespace) -> int:
-    first, second = tightness_instance(args.scale)
+def _cmd_tightness(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    first, second = pair = tightness_instance(args.scale)
     how_many = exact_count(first, second)
+    interval_a, interval_b = (
+        {name: getattr(arc, name) for name in arc.__match_args__} for arc in pair
+    )
     record = {
         "status": "ok",
         "m": first.modulus,
         "n": second.modulus,
-        "interval_a": {
-            "modulus": first.modulus,
-            "start": first.start,
-            "length": first.length,
-        },
-        "interval_b": {
-            "modulus": second.modulus,
-            "start": second.start,
-            "length": second.length,
-        },
+        "interval_a": interval_a,
+        "interval_b": interval_b,
         "count": how_many,
     }
     lines = [
@@ -196,11 +188,10 @@ def _cmd_tightness(args: argparse.Namespace) -> int:
         f"B = {second.start}+{second.length} (mod {second.modulus})",
         f"count = {how_many}",
     ]
-    _emit(args, record, lines)
-    return 0
+    return record, lines
 
 
-def _cmd_runner(args: argparse.Namespace) -> int:
+def _cmd_runner(args: argparse.Namespace) -> tuple[dict, list[str]]:
     speed_m, speed_n = _parse_speeds(args.speeds)
     witness = two_runner_witness(RunnerPair(speed_m, speed_n))
     first, second = witness.distances
@@ -209,14 +200,14 @@ def _cmd_runner(args: argparse.Namespace) -> int:
         "witness_numerator": witness.time.numerator,
         "witness_denominator": witness.time.denominator,
         "distances": [
-            {"numerator": first.numerator, "denominator": first.denominator},
-            {"numerator": second.numerator, "denominator": second.denominator},
+            {"numerator": d.numerator, "denominator": d.denominator}
+            for d in witness.distances
         ],
     }
-    _emit(args, record, [f"t = {witness.time}, distances {first}, {second}"])
-    return 0
+    return record, [f"t = {witness.time}, distances {first}, {second}"]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crtcount",
@@ -308,35 +299,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_error(json_mode: bool, message: str) -> None:
-    if json_mode:
-        print(json.dumps({"status": "error", "message": message}), file=sys.stderr)
-    else:
-        print(f"error: {message}", file=sys.stderr)
-
-
 def run(argv: Sequence[str] | None = None) -> int:
-    """Parse argv, dispatch, and return the exit status without exiting."""
-    parser = _build_parser()
+    """Parse argv, dispatch, print the result or refusal, and return the exit status."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits on usage errors and --help
         return int(exc.code or 0)
     try:
         # argparse hands a `--` given as a value (--M=--, or a second `--`) over as []
         if empty := [name for name, value in vars(args).items() if value == []]:
             raise ValueError(f"argument {empty[0]}: invalid value '--'")
-        return args.handler(args)
-    except InfeasibleError as exc:
-        _report_error(args.json, str(exc))
-        return 1
-    except (OverflowLimitError, ValueError) as exc:  # EnumerationCapError is a ValueError
-        _report_error(args.json, str(exc))
-        return 2
+        record, lines = args.handler(args)
+        code, file = (0 if record["status"] == "ok" else 1), sys.stdout
+    except (OverflowLimitError, ValueError) as exc:  # InfeasibleError is a ValueError
+        record, lines = {"status": "error", "message": str(exc)}, [f"error: {exc}"]
+        code, file = (1 if isinstance(exc, InfeasibleError) else 2), sys.stderr
+    _emit(args.json, record, lines, file)
+    return code
 
 
 def main() -> None:
-    raise SystemExit(run(sys.argv[1:]))
+    raise SystemExit(run())
 
 
 if __name__ == "__main__":

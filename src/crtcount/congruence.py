@@ -22,15 +22,15 @@ def checked_mul(a: int, b: int) -> int:
 
 class _Value:
     """Base of the immutable value types: fields are the __slots__ in
-    constructor order, set once in __init__ by object.__setattr__ (underscored
-    slots are caches, left out). Equal within one class only, hashed and shown
-    by field, pickled and copied by calling the constructor again.
+    constructor order, set once in __init__ by object.__setattr__. Equal within
+    one class only, hashed and shown by field, pickled and copied by calling
+    the constructor again.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls.__match_args__ = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls.__match_args__ = cls.__slots__
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)

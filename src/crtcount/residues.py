@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from typing import Callable, Iterable, Iterator, Union
 
@@ -22,7 +23,7 @@ class ResidueSet(_Value):
     are rejected rather than silently normalized.
     """
 
-    __slots__ = ("modulus", "members", "_lookup")
+    __slots__ = ("modulus", "members")
 
     def __init__(self, modulus: int, members: Iterable[int]) -> None:
         if modulus < 1:
@@ -31,19 +32,19 @@ class ResidueSet(_Value):
         for residue in ordered:
             if not 0 <= residue < modulus:
                 raise ValueError(f"residue {residue} out of range [0, {modulus})")
-        lookup = frozenset(ordered)
-        if len(lookup) != len(ordered):
+        if any(low == high for low, high in zip(ordered, ordered[1:])):
             raise ValueError("duplicate residues in collection")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "members", ordered)
-        object.__setattr__(self, "_lookup", lookup)
 
     @property
     def size(self) -> int:
         return len(self.members)
 
     def __contains__(self, residue: int) -> bool:
-        return residue in self._lookup
+        members = self.members
+        index = bisect_left(members, residue)
+        return index < len(members) and members[index] == residue
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)

@@ -317,8 +317,12 @@ def test_tightness_instance_sits_on_the_boundary():
 def test_tightness_instance_validation():
     with pytest.raises(ValueError):
         tightness_instance(0)
+    largest = (2**63 - 1) // 6  # the larger modulus 6*scale must fit 64 bits
+    first, second = tightness_instance(largest)
+    assert second.modulus == 6 * largest
+    assert exact_count(first, second) == 0
     with pytest.raises(OverflowLimitError):
-        tightness_instance(10**9)
+        tightness_instance(largest + 1)
 
 
 def test_floors_outside_64_bits_are_refused():

@@ -1,10 +1,12 @@
 """Unit tests for argument parsing, report formats, and exit codes."""
 
+import importlib.util
 import io
 import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -244,7 +246,8 @@ def test_exit_code_matrix():
         (("bound", "middling", "4", "6", "1", "1"), 2),
         (("extremal", "9", "2", "0", "1", "4"), 1),
         (("tightness", "--M", "0"), 2),
-        (("tightness", "--M", "1000000000"), 2),
+        (("tightness", "--M", "1000000000"), 0),
+        (("tightness", "--M", "1537228672809129302"), 2),
         (("runner", "--speeds", "2,2"), 2),
         (("runner", "--speeds", "1"), 2),
         ((), 2),
@@ -270,6 +273,16 @@ def test_double_dash_as_a_value_is_a_usage_error(argv, name):
     assert (code, out) == (2, "")
     assert err.count("\n") == 1
     assert json.loads(err) == {"status": "error", "message": message}
+
+
+def test_no_exception_escapes_run_on_the_digest_argv():
+    # malformed tokens, --help, wrong arity and values past 2**63 on every subcommand
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
+    spec = importlib.util.spec_from_file_location("cli_digest", path)
+    cli_digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_digest)
+    _, outcomes = cli_digest.digest(1)
+    assert set(outcomes) <= {"exit 0", "exit 1", "exit 2"}, outcomes
 
 
 def test_module_entry_point():
