@@ -85,23 +85,19 @@ def extremal_profile(size: int, cap: int, length: int) -> ExtremalProfile:
     """Non-decreasing sequence of the given length and sum, entries in [0, cap],
     minimizing the reversed dot product against any rival admissible sequence.
 
-    With filled = size // cap full entries, the sequence is zero before
-    position length - filled (1-indexed), carries the leftover
-    size - cap*filled there, and equals cap after it. Raises
-    EnumerationCapError, before building anything, when length exceeds
-    ENUMERATION_CAP.
+    With filled, leftover = divmod(size, cap), the sequence is three runs:
+    length - filled - 1 zeros, one leftover entry, then filled caps. When
+    filled == length every entry is a cap (the leftover is then 0 and has no
+    slot). Raises EnumerationCapError, before building anything, when length
+    exceeds ENUMERATION_CAP.
     """
     _check_profile(size, cap, length)
     limit = residues.ENUMERATION_CAP  # read at call time, like enumerate_solutions
     if length > limit:
         raise EnumerationCapError(f"profile length {length} exceeds the enumeration cap {limit}")
     filled, leftover = divmod(size, cap)
-    pivot = length - filled
-    values = tuple(
-        0 if k < pivot else leftover if k == pivot else cap
-        for k in range(1, length + 1)
-    )
-    return ExtremalProfile(values=values)
+    zeros = length - filled - 1
+    return ExtremalProfile(values=(0,) * zeros + (leftover,) * (zeros >= 0) + (cap,) * filled)
 
 
 class BoundResult(NamedTuple):

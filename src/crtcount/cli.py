@@ -28,12 +28,7 @@ from .bounds import (
     extremal_sum,
     tightness_instance,
 )
-from .congruence import (
-    Congruence,
-    CongruenceSystem,
-    OverflowLimitError,
-    solve,
-)
+from .congruence import CongruenceSystem, OverflowLimitError, solve
 from .residues import CyclicInterval, ResidueSet, enumerate_solutions, exact_count
 from .runner import RunnerPair, two_runner_witness
 
@@ -84,28 +79,15 @@ def parse_collection(text: str, modulus: int) -> ResidueSet | CyclicInterval:
     )
 
 
-def _parse_congruence(token: str) -> Congruence:
-    residue_text, sep, modulus_text = token.partition(":")
-    if not sep:
-        raise ValueError(f"congruence {token!r} is not of the form 'a:m'")
-    try:
-        residue = int(residue_text)
-        modulus = int(modulus_text)
-    except ValueError:
-        raise ValueError(f"congruence {token!r} is not of the form 'a:m'") from None
-    return Congruence(residue, modulus)
-
-
-def _parse_speeds(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"speeds {text!r} must be two comma-separated integers")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError(
-            f"speeds {text!r} must be two comma-separated integers"
-        ) from None
+def _int_pair(text: str, sep: str, message: str) -> tuple[int, int]:
+    """Read "x<sep>y", split at the first sep, as two ints; else refuse with the message."""
+    first, found, second = text.partition(sep)
+    if found:
+        try:
+            return int(first), int(second)
+        except ValueError:
+            pass
+    raise ValueError(message.format(text))
 
 
 def _emit(json_mode: bool, record: dict, lines: list[str] | None, file: TextIO) -> None:
@@ -115,7 +97,7 @@ def _emit(json_mode: bool, record: dict, lines: list[str] | None, file: TextIO) 
     elif lines is None:
         for key, value in record.items():
             if key != "status":
-                text = " ".join(map(str, value)) if isinstance(value, list) else value
+                text = " ".join(map(str, value)) if isinstance(value, (list, tuple)) else value
                 print(f"{key} = {text}", file=file)
     else:
         for line in lines:
@@ -123,8 +105,9 @@ def _emit(json_mode: bool, record: dict, lines: list[str] | None, file: TextIO) 
 
 
 def _cmd_solve(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    system = CongruenceSystem(
-        tuple(_parse_congruence(token) for token in args.congruences)
+    system = CongruenceSystem.from_pairs(
+        _int_pair(token, ":", "congruence {!r} is not of the form 'a:m'")
+        for token in args.congruences
     )
     found = solve(system)
     if found is None:
@@ -160,8 +143,8 @@ def _cmd_extremal(args: argparse.Namespace) -> tuple[dict, None]:
     result = extremal_sum(args.size_a, args.cap_a, args.size_b, args.cap_b, args.length)
     return {
         "status": "ok",
-        "profile_a": list(profile_a.values),
-        "profile_b": list(profile_b.values),
+        "profile_a": profile_a.values,
+        "profile_b": profile_b.values,
         "bound": result.lower_bound,
         "case": result.case_tag,
     }, None
@@ -192,8 +175,8 @@ def _cmd_tightness(args: argparse.Namespace) -> tuple[dict, list[str]]:
 
 
 def _cmd_runner(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    speed_m, speed_n = _parse_speeds(args.speeds)
-    witness = two_runner_witness(RunnerPair(speed_m, speed_n))
+    pair = _int_pair(args.speeds, ",", "speeds {!r} must be two comma-separated integers")
+    witness = two_runner_witness(RunnerPair(*pair))
     first, second = witness.distances
     record = {
         "status": "ok",

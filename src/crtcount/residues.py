@@ -13,7 +13,8 @@ ENUMERATION_CAP = 10_000_000
 
 
 class EnumerationCapError(ValueError):
-    """Refused: an enumeration's lcm(m, n) or a profile's length exceeds the cap."""
+    """Refused: an enumeration's lcm(m, n), a profile's length, or a partition's
+    divisor or collection size exceeds ENUMERATION_CAP."""
 
 
 class ResidueSet(_Value):
@@ -89,13 +90,20 @@ def partition_counts(collection: ResidueCollection, divisor: int) -> tuple[int, 
     """Count the collection's members in each residue class modulo the divisor.
 
     The divisor must divide the collection's modulus, so each class modulo the
-    divisor holds at most modulus/divisor members.
+    divisor holds at most modulus/divisor members. Raises EnumerationCapError,
+    before building anything, when the divisor or the collection's size
+    exceeds ENUMERATION_CAP, read at call time.
     """
     if divisor < 1:
         raise ValueError(f"divisor must be positive, got {divisor}")
     if collection.modulus % divisor:
         raise ValueError(
             f"divisor {divisor} does not divide modulus {collection.modulus}"
+        )
+    if max(divisor, collection.size) > ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"partition of {collection.size} members into {divisor} classes"
+            f" exceeds the enumeration cap {ENUMERATION_CAP}"
         )
     counts = [0] * divisor
     for member in collection:

@@ -20,9 +20,8 @@ from .residues import CyclicInterval
 DISTANT_THRESHOLD = Fraction(1, 3)
 
 
-def circle_distance(x: Fraction) -> Fraction:
-    """Distance from x to the nearest integer, as an exact rational in [0, 1/2]."""
-    x = Fraction(x)
+def circle_distance(x: int | Fraction) -> Fraction:
+    """Distance from x, an int or a Fraction, to the nearest integer: a Fraction in [0, 1/2]."""
     r = x.numerator % x.denominator
     return Fraction(min(r, x.denominator - r), x.denominator)
 

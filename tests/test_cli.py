@@ -282,7 +282,26 @@ def test_no_exception_escapes_run_on_the_digest_argv():
     cli_digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(cli_digest)
     _, outcomes = cli_digest.digest(1)
-    assert set(outcomes) <= {"exit 0", "exit 1", "exit 2"}, outcomes
+    # the tallies pin every exit status; the hash would also pin argparse's help text
+    assert outcomes == {"exit 0": 1903, "exit 1": 328, "exit 2": 5269}, outcomes
+
+
+CONGRUENCE_REFUSAL = "congruence {!r} is not of the form 'a:m'"
+SPEEDS_REFUSAL = "speeds {!r} must be two comma-separated integers"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(("solve", token), CONGRUENCE_REFUSAL.format(token))
+     for token in ("34", "3:", ":4", "1:2:3", "x:5")]
+    + [(("runner", f"--speeds={text}"), SPEEDS_REFUSAL.format(text))
+       for text in ("1", "1,2,3", ",1", "1,x")],
+)
+def test_token_refusal_messages(argv, message):
+    assert invoke(*argv) == (2, "", f"error: {message}\n")
+    code, out, err = invoke(*argv, "--json")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"status": "error", "message": message}
 
 
 def test_module_entry_point():

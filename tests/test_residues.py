@@ -98,6 +98,16 @@ def test_partition_requires_dividing_divisor():
         partition_counts(ResidueSet(10, (0,)), 0)
 
 
+def test_partition_counts_cap(monkeypatch):
+    monkeypatch.setattr(residues, "ENUMERATION_CAP", 8)
+    assert partition_counts(ResidueSet(16, (1, 9)), 8) == (0, 2, 0, 0, 0, 0, 0, 0)
+    assert partition_counts(CyclicInterval(16, 3, 8), 1) == (8,)
+    with pytest.raises(EnumerationCapError):
+        partition_counts(ResidueSet(16, (1,)), 16)  # divisor above the cap
+    with pytest.raises(EnumerationCapError):
+        partition_counts(CyclicInterval(16, 3, 9), 1)  # interval above the cap
+
+
 def test_exact_count_hand_checked():
     # common classes of {0,1,2} mod 4 and {0,1,2} mod 6 are {0,1,2,6,8} mod 12
     a = ResidueSet(4, (0, 1, 2))
