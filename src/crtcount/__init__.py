@@ -24,7 +24,6 @@ from .bounds import (
 )
 from .congruence import (
     INT64_MAX,
-    Congruence,
     CongruenceSystem,
     OverflowLimitError,
     SolutionClass,
@@ -57,7 +56,6 @@ __all__ = [
     "CASE_BOUNDARY",
     "CASE_EMPTY",
     "CASE_OVERLAP",
-    "Congruence",
     "CongruenceSystem",
     "CyclicInterval",
     "DISTANT_THRESHOLD",

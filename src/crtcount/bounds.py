@@ -19,13 +19,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from . import residues
-from .congruence import INT64_MAX, OverflowLimitError, _Value, checked_mul
-from .residues import (
-    CyclicInterval,
-    EnumerationCapError,
-    interval_block_pairs,
-)
+from .congruence import INT64_MAX, OverflowLimitError, _shown, _Value, checked_mul
+from .residues import CyclicInterval, _within_cap, interval_block_pairs
 
 CASE_EMPTY = "empty"
 CASE_BOUNDARY = "boundary"
@@ -78,7 +73,7 @@ def _check_profile(size: int, cap: int, length: int) -> None:
     if size < 0:
         raise ValueError(f"size must be non-negative, got {size}")
     if size > cap * length:
-        raise InfeasibleError(f"size {size} exceeds cap*length = {cap * length}")
+        raise InfeasibleError(f"size {_shown(size)} exceeds cap*length = {_shown(cap * length)}")
 
 
 def extremal_profile(size: int, cap: int, length: int) -> ExtremalProfile:
@@ -88,13 +83,13 @@ def extremal_profile(size: int, cap: int, length: int) -> ExtremalProfile:
     With filled, leftover = divmod(size, cap), the sequence is three runs:
     length - filled - 1 zeros, one leftover entry, then filled caps. When
     filled == length every entry is a cap (the leftover is then 0 and has no
-    slot). Raises EnumerationCapError, before building anything, when length
-    exceeds ENUMERATION_CAP.
+    slot). Before building anything, raises EnumerationCapError when length
+    exceeds ENUMERATION_CAP, else OverflowLimitError when cap leaves 64 bits.
     """
     _check_profile(size, cap, length)
-    limit = residues.ENUMERATION_CAP  # read at call time, like enumerate_solutions
-    if length > limit:
-        raise EnumerationCapError(f"profile length {length} exceeds the enumeration cap {limit}")
+    _within_cap(length, "profile length {}", length)
+    if cap > INT64_MAX:
+        raise OverflowLimitError(f"cap {_shown(cap)} exceeds the 64-bit integer range")
     filled, leftover = divmod(size, cap)
     zeros = length - filled - 1
     return ExtremalProfile(values=(0,) * zeros + (leftover,) * (zeros >= 0) + (cap,) * filled)
@@ -114,7 +109,7 @@ def _checked_bound(value: int) -> int:
     top of the range.
     """
     if value > INT64_MAX:
-        raise OverflowLimitError(f"bound {value} exceeds the 64-bit integer range")
+        raise OverflowLimitError(f"bound {_shown(value)} exceeds the 64-bit integer range")
     return value
 
 

@@ -12,11 +12,21 @@ class OverflowLimitError(OverflowError):
     """A product left the signed 64-bit range this library keeps exact."""
 
 
+def _shown(n: int) -> str:
+    """str(n) for a message, or its bit length past Python's int-to-str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"a {n.bit_length()}-bit integer"
+
+
 def checked_mul(a: int, b: int) -> int:
     """Return a*b, raising OverflowLimitError outside the signed 64-bit range."""
     product = a * b
     if not -INT64_MAX - 1 <= product <= INT64_MAX:
-        raise OverflowLimitError(f"product {a} * {b} exceeds the 64-bit integer range")
+        raise OverflowLimitError(
+            f"product {_shown(a)} * {_shown(b)} exceeds the 64-bit integer range"
+        )
     return product
 
 
@@ -55,37 +65,24 @@ class _Value:
     __delattr__ = __setattr__
 
 
-class Congruence(_Value):
-    """A single equation x ≡ residue (mod modulus).
-
-    The residue is normalized into [0, modulus) at construction, so equal
-    classes compare and hash equal regardless of the representative given.
-    """
-
-    __slots__ = ("residue", "modulus")
-
-    def __init__(self, residue: int, modulus: int) -> None:
-        if modulus < 1:
-            raise ValueError(f"modulus must be positive, got {modulus}")
-        object.__setattr__(self, "residue", residue % modulus)
-        object.__setattr__(self, "modulus", modulus)
-
-
 class CongruenceSystem(_Value):
-    """An ordered, non-empty list of simultaneous congruences."""
+    """Ordered congruences x ≡ residue (mod modulus) as (residue, modulus) pairs,
+    each residue normalized into [0, modulus) so equal systems compare equal."""
 
     __slots__ = ("congruences",)
 
-    def __init__(self, congruences: Iterable[Congruence]) -> None:
-        items = tuple(congruences)
-        if not items:
-            raise ValueError("a congruence system needs at least one congruence")
-        object.__setattr__(self, "congruences", items)
+    def __init__(self, pairs: Iterable[tuple[int, int]]) -> None:
+        items = []
+        for residue, modulus in pairs:
+            if modulus < 1:
+                raise ValueError(f"modulus must be positive, got {modulus}")
+            items.append((residue % modulus, modulus))
+        object.__setattr__(self, "congruences", tuple(items))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "CongruenceSystem":
         """Build a system from (residue, modulus) pairs."""
-        return cls(tuple(Congruence(residue, modulus) for residue, modulus in pairs))
+        return cls(pairs)
 
 
 class SolutionClass(_Value):
@@ -105,14 +102,15 @@ class SolutionClass(_Value):
 def solve(system: CongruenceSystem) -> SolutionClass | None:
     """Solve a congruence system by iterated pairwise merging.
 
-    Returns the unique solution class modulo the lcm of all moduli, or None
-    when some pair of congruences disagrees modulo the gcd of its moduli.
-    Raises OverflowLimitError if the lcm leaves the 64-bit range.
+    Starts from x ≡ 0 (mod 1), which every integer satisfies, so the empty
+    system solves to SolutionClass(0, 1). Returns the unique solution class
+    modulo the lcm of all moduli, or None when some pair of congruences
+    disagrees modulo the gcd of its moduli. Raises OverflowLimitError if the
+    lcm, or any modulus on its own, leaves the 64-bit range.
     """
-    head, *rest = system.congruences
-    residue, modulus = head.residue, head.modulus
-    for congruence in rest:
-        merged = _merge(residue, modulus, congruence.residue, congruence.modulus)
+    residue, modulus = 0, 1
+    for congruence in system.congruences:
+        merged = _merge(residue, modulus, *congruence)
         if merged is None:
             return None
         residue, modulus = merged
@@ -120,7 +118,10 @@ def solve(system: CongruenceSystem) -> SolutionClass | None:
 
 
 def _merge(a1: int, m1: int, a2: int, m2: int) -> tuple[int, int] | None:
-    """Combine x ≡ a1 (mod m1) and x ≡ a2 (mod m2) into one congruence, if possible."""
+    """Combine x ≡ a1 (mod m1) and x ≡ a2 (mod m2) into one congruence, if possible.
+
+    Requires 0 <= a1 < m1: then 0 <= t < step puts a1 + m1*t in [0, m1*step).
+    """
     g = math.gcd(m1, m2)
     if (a2 - a1) % g:
         return None
@@ -130,4 +131,4 @@ def _merge(a1: int, m1: int, a2: int, m2: int) -> tuple[int, int] | None:
     # When step == 1, pow returns 0 and t == 0, which is right.
     coeff = pow(m1 // g, -1, step)
     t = (a2 - a1) // g * coeff % step
-    return (a1 + m1 * t) % combined, combined
+    return a1 + m1 * t, combined

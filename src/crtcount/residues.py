@@ -7,7 +7,7 @@ from bisect import bisect_left
 from collections import Counter
 from typing import Callable, Iterable, Iterator, Union
 
-from .congruence import SolutionClass, _Value, checked_mul
+from .congruence import SolutionClass, _shown, _Value, checked_mul
 
 ENUMERATION_CAP = 10_000_000
 
@@ -15,6 +15,14 @@ ENUMERATION_CAP = 10_000_000
 class EnumerationCapError(ValueError):
     """Refused: an enumeration's lcm(m, n), a profile's length, or a partition's
     divisor or collection size exceeds ENUMERATION_CAP."""
+
+
+def _within_cap(value: int, what: str, *args: int) -> None:
+    """Refuse a value above ENUMERATION_CAP, read at call time, as
+    "<what.format(*args)> exceeds the enumeration cap <cap>"."""
+    if value > ENUMERATION_CAP:
+        shown = what.format(*map(_shown, args))
+        raise EnumerationCapError(f"{shown} exceeds the enumeration cap {ENUMERATION_CAP}")
 
 
 class ResidueSet(_Value):
@@ -100,11 +108,8 @@ def partition_counts(collection: ResidueCollection, divisor: int) -> tuple[int, 
         raise ValueError(
             f"divisor {divisor} does not divide modulus {collection.modulus}"
         )
-    if max(divisor, collection.size) > ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"partition of {collection.size} members into {divisor} classes"
-            f" exceeds the enumeration cap {ENUMERATION_CAP}"
-        )
+    size = collection.size
+    _within_cap(max(divisor, size), "partition of {} members into {} classes", size, divisor)
     counts = [0] * divisor
     for member in collection:
         counts[member % divisor] += 1
@@ -203,10 +208,7 @@ def enumerate_solutions(a: ResidueCollection, b: ResidueCollection) -> list[Solu
     """
     g = math.gcd(a.modulus, b.modulus)
     span = checked_mul(a.modulus // g, b.modulus)
-    if span > ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"scan range {span} exceeds the enumeration cap {ENUMERATION_CAP}"
-        )
+    _within_cap(span, "scan range {}", span)
     if a.size > b.size:
         a, b = b, a
     mod_a = a.modulus

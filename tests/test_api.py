@@ -9,7 +9,6 @@ PUBLIC = {
     "CASE_BOUNDARY",
     "CASE_EMPTY",
     "CASE_OVERLAP",
-    "Congruence",
     "CongruenceSystem",
     "CyclicInterval",
     "DISTANT_THRESHOLD",
@@ -61,7 +60,7 @@ TRACED = (
 
 
 def test_public_names():
-    assert len(crtcount.__all__) == len(PUBLIC) == 34
+    assert len(crtcount.__all__) == len(PUBLIC) == 33
     assert set(crtcount.__all__) == PUBLIC
     for name in crtcount.__all__:
         assert hasattr(crtcount, name), name

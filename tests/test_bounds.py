@@ -22,7 +22,7 @@ from crtcount.bounds import (
     rearrangement_bounds,
     tightness_instance,
 )
-from crtcount.congruence import OverflowLimitError
+from crtcount.congruence import INT64_MAX, OverflowLimitError
 from crtcount.residues import (
     CyclicInterval,
     EnumerationCapError,
@@ -88,6 +88,9 @@ def test_extremal_profile_validation():
         extremal_profile(1, 3, 0)
     with pytest.raises(ValueError):
         extremal_profile(-1, 3, 4)
+    assert extremal_profile(0, INT64_MAX, 1).values == (0,)
+    with pytest.raises(OverflowLimitError, match="cap 9223372036854775808 exceeds the 64-bit"):
+        extremal_profile(0, 2**63, 1)
 
 
 def test_extremal_profile_length_cap(monkeypatch):

@@ -192,6 +192,26 @@ def test_runner_outside_64_bits_is_refused():
     assert record["status"] == "error" and "64-bit" in record["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("solve", "--", "0:9223372036854775808"),
+         "product 1 * 9223372036854775808 exceeds the 64-bit integer range"),
+        (("extremal", "--", "0", "1", "9223372036854775808", "9223372036854775808", "1"),
+         "cap 9223372036854775808 exceeds the 64-bit integer range"),
+        (("runner", "--speeds", "9" * 4300 + ",1"),
+         f"product a {(3 * int('9' * 4300)).bit_length()}-bit integer * 1"
+         " exceeds the 64-bit integer range"),
+    ],
+    ids=["solve", "extremal", "runner"],
+)
+def test_results_outside_64_bits_are_refused(argv, message):
+    assert invoke(*argv) == (2, "", f"error: {message}\n")
+    code, out, err = invoke(argv[0], "--json", *argv[1:])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"status": "error", "message": message}
+
+
 def test_error_record_goes_to_stderr():
     code, out, err = invoke("count", "4", "6", "{0,4}", "{0}", "--json")
     assert code == 2
@@ -283,7 +303,7 @@ def test_no_exception_escapes_run_on_the_digest_argv():
     spec.loader.exec_module(cli_digest)
     _, outcomes = cli_digest.digest(1)
     # the tallies pin every exit status; the hash would also pin argparse's help text
-    assert outcomes == {"exit 0": 1903, "exit 1": 328, "exit 2": 5269}, outcomes
+    assert outcomes == {"exit 0": 1824, "exit 1": 303, "exit 2": 5373}, outcomes
 
 
 CONGRUENCE_REFUSAL = "congruence {!r} is not of the form 'a:m'"

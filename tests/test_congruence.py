@@ -8,15 +8,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from crtcount.bounds import InfeasibleError, bound_intervals, extremal_profile, extremal_sum
 from crtcount.congruence import (
     INT64_MAX,
-    Congruence,
     CongruenceSystem,
     OverflowLimitError,
     SolutionClass,
     checked_mul,
     solve,
 )
+from crtcount.residues import EnumerationCapError, ResidueSet, partition_counts
+from crtcount.runner import RunnerPair, two_runner_witness
 
 
 def test_checked_mul_small_products():
@@ -40,28 +42,46 @@ def test_checked_mul_overflow():
         checked_mul(-(2**62), -3)
 
 
+NINES = int("9" * 4300)  # the most digits str() accepts by default; products have more
+
+
+@pytest.mark.parametrize(
+    "refused, kind",
+    [
+        (lambda: two_runner_witness(RunnerPair(NINES, 1)), OverflowLimitError),
+        (lambda: extremal_sum(*[10**4299] * 4, 1), OverflowLimitError),
+        (lambda: bound_intervals(NINES**2, NINES**2 + 1, NINES**2, NINES**2), OverflowLimitError),
+        (lambda: extremal_profile(2 * 10**4300, 10**4299, 10), InfeasibleError),
+        (lambda: partition_counts(ResidueSet(NINES**2, (0,)), NINES**2), EnumerationCapError),
+    ],
+    ids=["checked_mul", "extremal_sum", "bound_intervals", "infeasible", "enumeration_cap"],
+)
+def test_refusals_keep_their_type_past_the_digit_limit(refused, kind):
+    with pytest.raises(kind, match="-bit integer"):
+        refused()
+
+
 def test_congruence_normalizes_residue():
-    assert Congruence(7, 5) == Congruence(2, 5)
-    assert Congruence(-1, 5).residue == 4
-    assert Congruence(10, 5).residue == 0
+    assert CongruenceSystem([(7, 5)]) == CongruenceSystem([(2, 5)])
+    system = CongruenceSystem.from_pairs([(-1, 5), (10, 5)])
+    assert system.congruences == ((4, 5), (0, 5))
 
 
 def test_congruence_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        Congruence(0, 0)
-    with pytest.raises(ValueError):
-        Congruence(3, -2)
+    with pytest.raises(ValueError, match="got 0"):
+        CongruenceSystem([(0, 0)])
+    with pytest.raises(ValueError, match="got -2"):
+        CongruenceSystem.from_pairs([(1, 3), (3, -2), (0, 0)])  # checked in input order
 
 
-def test_system_rejects_empty():
-    with pytest.raises(ValueError):
-        CongruenceSystem(())
+def test_empty_system_solves_to_every_integer():
+    assert solve(CongruenceSystem(())) == SolutionClass(0, 1)
 
 
 def test_system_from_pairs():
     system = CongruenceSystem.from_pairs([(2, 3), (3, 5)])
-    assert len(system.congruences) == 2
-    assert [c.modulus for c in system.congruences] == [3, 5]
+    assert system.congruences == ((2, 3), (3, 5))
+    assert system == CongruenceSystem([(2, 3), (3, 5)])
 
 
 def test_solution_class_validates_range():
@@ -92,6 +112,12 @@ def test_solve_redundant_congruences():
     assert found == SolutionClass(1, 4)
 
 
+def test_lone_congruence_modulus_guarded():
+    assert solve(CongruenceSystem.from_pairs([(5, INT64_MAX)])) == SolutionClass(5, INT64_MAX)
+    with pytest.raises(OverflowLimitError, match="product 1 \\* 9223372036854775808 exceeds"):
+        solve(CongruenceSystem.from_pairs([(3, 2**63)]))
+
+
 def test_solve_overflow_refused():
     # coprime moduli whose lcm exceeds the 64-bit range
     big = CongruenceSystem.from_pairs([(0, 2**32 - 1), (1, 2**32)])
@@ -110,8 +136,8 @@ systems = st.lists(
 def test_solve_agrees_with_scan(pairs):
     system = CongruenceSystem.from_pairs(pairs)
     congruences = system.congruences
-    span = math.lcm(*(c.modulus for c in congruences))
-    expected = [x for x in range(span) if all(x % c.modulus == c.residue for c in congruences)]
+    span = math.lcm(*(m for _, m in congruences))
+    expected = [x for x in range(span) if all(x % m == r for r, m in congruences)]
     found = solve(system)
     if found is None:
         assert expected == []
@@ -124,8 +150,8 @@ def test_solve_agrees_with_scan(pairs):
 def test_solve_none_iff_incompatible(pairs):
     system = CongruenceSystem.from_pairs(pairs)
     compatible = all(
-        (c.residue - d.residue) % math.gcd(c.modulus, d.modulus) == 0
-        for c, d in itertools.combinations(system.congruences, 2)
+        (r - s) % math.gcd(m, n) == 0
+        for (r, m), (s, n) in itertools.combinations(system.congruences, 2)
     )
     assert (solve(system) is None) == (not compatible)
 
@@ -136,8 +162,8 @@ def test_solution_satisfies_every_congruence(pairs):
     found = solve(system)
     if found is not None:
         congruences = system.congruences
-        assert all(found.residue % c.modulus == c.residue for c in congruences)
-        assert all((found.residue + found.modulus) % c.modulus == c.residue for c in congruences)
+        assert all(found.residue % m == r for r, m in congruences)
+        assert all((found.residue + found.modulus) % m == r for r, m in congruences)
 
 
 def test_solve_random_large_moduli():

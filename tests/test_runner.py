@@ -7,7 +7,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from crtcount import congruence
-from crtcount.congruence import Congruence, CongruenceSystem, solve
+from crtcount.congruence import CongruenceSystem, solve
 from crtcount.residues import CyclicInterval
 from crtcount.runner import (
     DISTANT_THRESHOLD,
@@ -163,11 +163,8 @@ def crt_pairing_witness(m, n):
     for residue_m in interval_m:
         for residue_n in interval_n:
             merged = solve(
-                CongruenceSystem(
-                    (
-                        Congruence(residue_m, interval_m.modulus),
-                        Congruence(residue_n, interval_n.modulus),
-                    )
+                CongruenceSystem.from_pairs(
+                    [(residue_m, interval_m.modulus), (residue_n, interval_n.modulus)]
                 )
             )
             if merged is not None and (best is None or merged.residue < best):

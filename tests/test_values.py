@@ -11,7 +11,6 @@ import pytest
 
 import crtcount
 from crtcount import (
-    Congruence,
     CongruenceSystem,
     CyclicInterval,
     DistantWitness,
@@ -25,7 +24,6 @@ from crtcount import (
 )
 
 INSTANCES = [
-    Congruence(23, 15),
     CongruenceSystem.from_pairs([(2, 3), (3, 5)]),
     SolutionClass(8, 15),
     ResidueSet(4, (2, 0, 1)),
@@ -39,7 +37,6 @@ INSTANCES = [
 def test_instances_cover_every_value_type():
     kinds = {type(value) for value in INSTANCES}
     assert kinds == {
-        Congruence,
         CongruenceSystem,
         SolutionClass,
         ResidueSet,
@@ -77,12 +74,12 @@ def test_fields_cannot_be_assigned_or_deleted(value):
 
 
 def test_equality_stays_within_one_class():
-    assert Congruence(8, 15) != SolutionClass(8, 15)
-    assert SolutionClass(8, 15) != Congruence(8, 15)
-    assert Congruence(8, 15) != (8, 15)
+    assert RunnerPair(8, 15) != SolutionClass(8, 15)
+    assert SolutionClass(8, 15) != RunnerPair(8, 15)
     assert SolutionClass(8, 15) != (8, 15)
-    assert Congruence(23, 15) == Congruence(8, 15)
-    assert hash(Congruence(23, 15)) == hash(Congruence(8, 15))
+    first, second = (CongruenceSystem.from_pairs([(r, 15)]) for r in (23, 8))
+    assert first == second
+    assert hash(first) == hash(second)
 
 
 def test_residue_set_compares_by_sorted_members():
