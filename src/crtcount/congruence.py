@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Iterable
 
 INT64_MAX = 2**63 - 1
@@ -75,7 +76,7 @@ class CongruenceSystem(_Value):
         items = []
         for residue, modulus in pairs:
             if modulus < 1:
-                raise ValueError(f"modulus must be positive, got {modulus}")
+                raise ValueError(f"modulus must be positive, got {_shown(modulus)}")
             items.append((residue % modulus, modulus))
         object.__setattr__(self, "congruences", tuple(items))
 
@@ -92,11 +93,26 @@ class SolutionClass(_Value):
 
     def __init__(self, residue: int, modulus: int) -> None:
         if modulus < 1:
-            raise ValueError(f"modulus must be positive, got {modulus}")
+            raise ValueError(f"modulus must be positive, got {_shown(modulus)}")
         if not 0 <= residue < modulus:
-            raise ValueError(f"residue {residue} out of range [0, {modulus})")
+            raise ValueError(f"residue {_shown(residue)} out of range [0, {_shown(modulus)})")
         object.__setattr__(self, "residue", residue)
         object.__setattr__(self, "modulus", modulus)
+
+
+def _solution_classes(residues: list[int], modulus: int) -> list[SolutionClass]:
+    """[SolutionClass(r, modulus) for r in residues], without __init__'s checks.
+
+    Requires modulus >= 1 and 0 <= r < modulus for every r; the caller
+    guarantees both. Objects are made bare and filled by the slots' own
+    setters, so they equal, hash, pickle and refuse assignment like
+    constructed ones, at well under half the cost per object.
+    """
+    classes = list(map(object.__new__, repeat(SolutionClass, len(residues))))
+    # Each setter returns None, so any() runs every one of them.
+    any(map(SolutionClass.residue.__set__, classes, residues))
+    any(map(SolutionClass.modulus.__set__, classes, repeat(modulus)))
+    return classes
 
 
 def solve(system: CongruenceSystem) -> SolutionClass | None:

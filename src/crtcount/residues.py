@@ -5,9 +5,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Union
 
-from .congruence import SolutionClass, _shown, _Value, checked_mul
+from .congruence import SolutionClass, _shown, _solution_classes, _Value, checked_mul
 
 ENUMERATION_CAP = 10_000_000
 
@@ -36,11 +37,13 @@ class ResidueSet(_Value):
 
     def __init__(self, modulus: int, members: Iterable[int]) -> None:
         if modulus < 1:
-            raise ValueError(f"modulus must be positive, got {modulus}")
+            raise ValueError(f"modulus must be positive, got {_shown(modulus)}")
         ordered = tuple(sorted(members))
         for residue in ordered:
             if not 0 <= residue < modulus:
-                raise ValueError(f"residue {residue} out of range [0, {modulus})")
+                raise ValueError(
+                    f"residue {_shown(residue)} out of range [0, {_shown(modulus)})"
+                )
         if any(low == high for low, high in zip(ordered, ordered[1:])):
             raise ValueError("duplicate residues in collection")
         object.__setattr__(self, "modulus", modulus)
@@ -70,9 +73,9 @@ class CyclicInterval(_Value):
 
     def __init__(self, modulus: int, start: int, length: int) -> None:
         if modulus < 1:
-            raise ValueError(f"modulus must be positive, got {modulus}")
+            raise ValueError(f"modulus must be positive, got {_shown(modulus)}")
         if not 0 <= length <= modulus:
-            raise ValueError(f"length {length} out of range [0, {modulus}]")
+            raise ValueError(f"length {_shown(length)} out of range [0, {_shown(modulus)}]")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "start", start % modulus)
         object.__setattr__(self, "length", length)
@@ -103,10 +106,10 @@ def partition_counts(collection: ResidueCollection, divisor: int) -> tuple[int, 
     exceeds ENUMERATION_CAP, read at call time.
     """
     if divisor < 1:
-        raise ValueError(f"divisor must be positive, got {divisor}")
+        raise ValueError(f"divisor must be positive, got {_shown(divisor)}")
     if collection.modulus % divisor:
         raise ValueError(
-            f"divisor {divisor} does not divide modulus {collection.modulus}"
+            f"divisor {_shown(divisor)} does not divide modulus {_shown(collection.modulus)}"
         )
     size = collection.size
     _within_cap(max(divisor, size), "partition of {} members into {} classes", size, divisor)
@@ -172,8 +175,8 @@ def exact_count(a: ResidueCollection, b: ResidueCollection) -> int:
         return _set_interval_count(a, b, g)
     if isinstance(a, CyclicInterval):
         return _set_interval_count(b, a, g)
-    tally = Counter(r % g for r in a.members)
-    return sum(tally.get(r % g, 0) for r in b.members)
+    tally = Counter([r % g for r in a.members])
+    return sum(map(tally.get, [r % g for r in b.members], repeat(0)))
 
 
 def _members_by_class(
@@ -205,6 +208,10 @@ def enumerate_solutions(a: ResidueCollection, b: ResidueCollection) -> list[Solu
     CRT to x = α + m*t with t ≡ (β - α)/g * (m/g)^-1 (mod n/g), which depends
     on β only mod n. Cost O(min(|a|, |b|) + s log s) for s solutions, plus
     O(|b|) to bucket b when it is an explicit set; [0, lcm) is never scanned.
+
+    Every lifted x lies in [0, lcm): 0 <= α < m and 0 <= t < n/g give
+    0 <= α + m*t < m*n/g. So the classes are built without SolutionClass's
+    per-object range checks, which could never fire.
     """
     g = math.gcd(a.modulus, b.modulus)
     span = checked_mul(a.modulus // g, b.modulus)
@@ -221,4 +228,4 @@ def enumerate_solutions(a: ResidueCollection, b: ResidueCollection) -> list[Solu
         for beta in partners(alpha % g)
     ]
     found.sort()
-    return [SolutionClass(x, span) for x in found]
+    return _solution_classes(found, span)

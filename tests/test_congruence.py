@@ -17,7 +17,7 @@ from crtcount.congruence import (
     checked_mul,
     solve,
 )
-from crtcount.residues import EnumerationCapError, ResidueSet, partition_counts
+from crtcount.residues import CyclicInterval, EnumerationCapError, ResidueSet, partition_counts
 from crtcount.runner import RunnerPair, two_runner_witness
 
 
@@ -58,6 +58,42 @@ NINES = int("9" * 4300)  # the most digits str() accepts by default; products ha
 )
 def test_refusals_keep_their_type_past_the_digit_limit(refused, kind):
     with pytest.raises(kind, match="-bit integer"):
+        refused()
+
+
+HUGE = 10**4300  # one digit past what str() accepts by default
+BIG = r"a \d+-bit integer"
+POSITIVE = f"must be positive, got {BIG}"
+
+
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda: CongruenceSystem.from_pairs([(0, -HUGE)]), f"modulus {POSITIVE}"),
+        (lambda: SolutionClass(0, -HUGE), f"modulus {POSITIVE}"),
+        (lambda: SolutionClass(10 * HUGE, HUGE), rf"residue {BIG} out of range \[0, {BIG}\)"),
+        (lambda: ResidueSet(-HUGE, ()), f"modulus {POSITIVE}"),
+        (lambda: ResidueSet(HUGE, (10 * HUGE,)), rf"residue {BIG} out of range \[0, {BIG}\)"),
+        (lambda: CyclicInterval(-HUGE, 0, 0), f"modulus {POSITIVE}"),
+        (lambda: CyclicInterval(5, 0, HUGE), rf"length {BIG} out of range \[0, 5\]"),
+        (lambda: partition_counts(ResidueSet(5, ()), -HUGE), f"divisor {POSITIVE}"),
+        (
+            lambda: partition_counts(ResidueSet(5, ()), HUGE),
+            f"divisor {BIG} does not divide modulus 5",
+        ),
+        (
+            lambda: partition_counts(ResidueSet(HUGE + 1, ()), 3),
+            f"divisor 3 does not divide modulus {BIG}",
+        ),
+    ],
+    ids=[
+        "system_modulus", "solution_modulus", "solution_residue", "set_modulus",
+        "set_residue", "interval_modulus", "interval_length", "divisor_sign",
+        "divisor", "partition_modulus",
+    ],
+)
+def test_constructor_refusals_name_their_field(refused, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         refused()
 
 

@@ -1,6 +1,7 @@
 """Unit tests for residue-class collections and the exact pair count."""
 
 import math
+import pickle
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from crtcount import residues
 from crtcount.bounds import bound_intervals
+from crtcount.congruence import SolutionClass
 from crtcount.residues import (
     ENUMERATION_CAP,
     CyclicInterval,
@@ -143,6 +145,10 @@ def test_enumerate_matches_membership():
 
 
 def test_enumeration_cap_refusal(monkeypatch):
+    # lcm 2**7 * 5**7 is exactly the cap; 11 * 909_091 is one past it
+    assert len(enumerate_solutions(ResidueSet(128, (0,)), ResidueSet(78_125, (0,)))) == 1
+    with pytest.raises(EnumerationCapError):
+        enumerate_solutions(ResidueSet(11, (0,)), ResidueSet(909_091, (0,)))
     a = ResidueSet(10_007, (0,))
     b = ResidueSet(10_009, (0,))
     with pytest.raises(EnumerationCapError):
@@ -233,7 +239,15 @@ def test_closed_forms_match_scan(a, b):
     for first, second in ((a, b), (b, a)):
         expected = scan_solutions(first, second)
         assert exact_count(first, second) == len(expected)
-        assert [c.residue for c in enumerate_solutions(first, second)] == expected
+        found = enumerate_solutions(first, second)
+        assert [c.residue for c in found] == expected
+        for c in found:  # indistinguishable from a constructed SolutionClass
+            assert type(c) is SolutionClass
+            twin = SolutionClass(c.residue, c.modulus)
+            assert c == twin and hash(c) == hash(twin)
+            assert pickle.loads(pickle.dumps(c)) == c
+            with pytest.raises(AttributeError):
+                c.residue = 0
 
 
 @given(st.integers(1, 40), st.integers(1, 40), st.data())

@@ -1,0 +1,195 @@
+"""Run tier-1 against one-edit mutants of src/ and report which ones it kills.
+
+Each mutant is one (file, exact old text, new text) edit kept in MUTANTS
+below. For each, the script copies src/, tests/ and tools/ into a temporary
+directory, applies the edit there, runs the tier-1 suite with -x and prints
+"killed" when some test fails or "survived" when every test passes. The
+working tree is never modified. It first runs the suite on the unmutated
+copy, because a suite that already fails would kill every mutant. Standard
+library only, apart from the suite's own pytest and hypothesis; not part of
+tier-1. A surviving mutant costs one full suite run, so expect several
+minutes:
+
+    python3 tools/mutants.py
+
+Exit status 0 means every mutant was killed; 1 means some survived or an
+edit no longer matches its file exactly once.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "tools", "pyproject.toml")
+
+# (name, file under src/crtcount, exact old text, new text)
+MUTANTS = [
+    (
+        "pairing floor boundary",
+        "bounds.py",
+        "    if span < length:\n",
+        "    if span <= length:\n",
+    ),
+    (
+        "bound_intervals leftover overlap",
+        "bounds.py",
+        "max(0, rem_a + rem_b - g))",
+        "max(0, rem_a + rem_b - g + 1))",
+    ),
+    (
+        "arc overlap past the top",
+        "residues.py",
+        "max(0, min(len_a, end_b - g))",
+        "max(0, min(len_a, end_b - g + 1))",
+    ),
+    (
+        "set-interval leftover arc",
+        "residues.py",
+        "(r - start) % g < extra",
+        "(r - start) % g <= extra",
+    ),
+    (
+        "density guarantee strict inequality",
+        "bounds.py",
+        "3 * size_a > m",
+        "3 * size_a >= m",
+    ),
+    (
+        "extremal profile leftover run",
+        "bounds.py",
+        "(leftover,) * (zeros >= 0)",
+        "(leftover,) * (zeros > 0)",
+    ),
+    (
+        "runner modular step",
+        "runner.py",
+        "first += fast_arc.modulus - offset",
+        "first += fast_arc.modulus - offset + 1",
+    ),
+    (
+        "distant arc length",
+        "runner.py",
+        "length = (runners - 1) * period // (runners + 1) + 1",
+        "length = (runners - 1) * period // (runners + 1)",
+    ),
+    (
+        "checked_mul lower edge",
+        "congruence.py",
+        "if not -INT64_MAX - 1 <= product",
+        "if not -INT64_MAX <= product",
+    ),
+    (
+        "system residue reduction",
+        "congruence.py",
+        "items.append((residue % modulus, modulus))",
+        "items.append((residue, modulus))",
+    ),
+    (
+        "enumeration walks the larger side",
+        "residues.py",
+        "    if a.size > b.size:\n",
+        "    if a.size < b.size:\n",
+    ),
+    (
+        "text output drops a field",
+        "cli.py",
+        'if key != "status":',
+        'if key not in ("status", "case"):',
+    ),
+    (
+        "enumeration cap off by one",
+        "residues.py",
+        '_within_cap(span, "scan range {}", span)',
+        '_within_cap(span - 1, "scan range {}", span)',
+    ),
+    (
+        "enumeration unsorted",
+        "residues.py",
+        "    found.sort()\n",
+        "",
+    ),
+    (
+        "bulk build swaps the slot setters",
+        "congruence.py",
+        "map(SolutionClass.residue.__set__, classes, residues)",
+        "map(SolutionClass.modulus.__set__, classes, residues)",
+    ),
+    (
+        "set-set tally reads one set twice",
+        "residues.py",
+        "[r % g for r in b.members]",
+        "[r % g for r in a.members]",
+    ),
+]
+
+
+def run_suite(tree: Path) -> subprocess.CompletedProcess:
+    """Tier-1 with -x on the copy at tree, importing crtcount from its src/."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
+        cwd=tree,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+
+
+def last_line(proc: subprocess.CompletedProcess) -> str:
+    lines = proc.stdout.strip().splitlines()
+    return lines[-1] if lines else proc.stderr.strip()
+
+
+def copy_tree(destination: Path) -> None:
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            skipped = shutil.ignore_patterns("__pycache__")
+            shutil.copytree(source, destination / name, ignore=skipped)
+        else:
+            shutil.copy2(source, destination / name)
+
+
+def main() -> int:
+    stale = []
+    for name, filename, old, _ in MUTANTS:
+        found = (ROOT / "src" / "crtcount" / filename).read_text().count(old)
+        if found != 1:
+            stale.append(f"{name}: {old!r} occurs {found} times in {filename}")
+    if stale:
+        print("stale edits, nothing run:", *stale, sep="\n  ")
+        return 1
+
+    killed = 0
+    with tempfile.TemporaryDirectory(prefix="crtcount-mutants-") as scratch:
+        tree = Path(scratch)
+        copy_tree(tree)
+        baseline = run_suite(tree)
+        if baseline.returncode != 0:
+            print(f"unmutated suite fails, nothing run: {last_line(baseline)}")
+            return 1
+        print(f"unmutated: {last_line(baseline)}")
+        for name, filename, old, new in MUTANTS:
+            target = tree / "src" / "crtcount" / filename
+            original = target.read_text()
+            target.write_text(original.replace(old, new))
+            try:
+                proc = run_suite(tree)
+            finally:
+                target.write_text(original)
+            outcome = "killed" if proc.returncode != 0 else "survived"
+            killed += proc.returncode != 0
+            print(f"{outcome:8}  {name}  ({last_line(proc)})", flush=True)
+    survived = len(MUTANTS) - killed
+    print(f"killed {killed} of {len(MUTANTS)}, survived {survived}")
+    return 0 if survived == 0 else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
