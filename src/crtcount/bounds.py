@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .congruence import INT64_MAX, OverflowLimitError, _shown, _Value, checked_mul
+from .congruence import _checked_bound, _shown, _Value, checked_mul
 from .residues import CyclicInterval, _within_cap, interval_block_pairs
 
 CASE_EMPTY = "empty"
@@ -67,11 +67,11 @@ class ExtremalProfile(_Value):
 def _check_profile(size: int, cap: int, length: int) -> None:
     """Refuse a size, cap and length that admit no sorted profile."""
     if cap < 1:
-        raise ValueError(f"cap must be positive, got {cap}")
+        raise ValueError(f"cap must be positive, got {_shown(cap)}")
     if length < 1:
-        raise ValueError(f"length must be positive, got {length}")
+        raise ValueError(f"length must be positive, got {_shown(length)}")
     if size < 0:
-        raise ValueError(f"size must be non-negative, got {size}")
+        raise ValueError(f"size must be non-negative, got {_shown(size)}")
     if size > cap * length:
         raise InfeasibleError(f"size {_shown(size)} exceeds cap*length = {_shown(cap * length)}")
 
@@ -88,8 +88,7 @@ def extremal_profile(size: int, cap: int, length: int) -> ExtremalProfile:
     """
     _check_profile(size, cap, length)
     _within_cap(length, "profile length {}", length)
-    if cap > INT64_MAX:
-        raise OverflowLimitError(f"cap {_shown(cap)} exceeds the 64-bit integer range")
+    _checked_bound(cap, "cap")
     filled, leftover = divmod(size, cap)
     zeros = length - filled - 1
     return ExtremalProfile(values=(0,) * zeros + (leftover,) * (zeros >= 0) + (cap,) * filled)
@@ -100,17 +99,6 @@ class BoundResult(NamedTuple):
 
     lower_bound: int
     case_tag: str
-
-
-def _checked_bound(value: int) -> int:
-    """Return a floor unchanged, or refuse it when it leaves the 64-bit range.
-
-    Validated sizes and caps are non-negative, so a floor can only cross the
-    top of the range.
-    """
-    if value > INT64_MAX:
-        raise OverflowLimitError(f"bound {_shown(value)} exceeds the 64-bit integer range")
-    return value
 
 
 def extremal_sum(
@@ -157,11 +145,11 @@ def _pairing_floor(
 
 def _check_sizes(m: int, n: int, size_a: int, size_b: int) -> None:
     if m < 1 or n < 1:
-        raise ValueError(f"moduli must be positive, got ({m}, {n})")
+        raise ValueError(f"moduli must be positive, got ({_shown(m)}, {_shown(n)})")
     if not 0 <= size_a <= m:
-        raise ValueError(f"size {size_a} out of range [0, {m}]")
+        raise ValueError(f"size {_shown(size_a)} out of range [0, {_shown(m)}]")
     if not 0 <= size_b <= n:
-        raise ValueError(f"size {size_b} out of range [0, {n}]")
+        raise ValueError(f"size {_shown(size_b)} out of range [0, {_shown(n)}]")
 
 
 def bound_arbitrary(m: int, n: int, size_a: int, size_b: int) -> BoundResult:
@@ -217,7 +205,7 @@ def tightness_instance(scale: int) -> tuple[CyclicInterval, CyclicInterval]:
     constant.
     """
     if scale < 1:
-        raise ValueError(f"scale must be positive, got {scale}")
+        raise ValueError(f"scale must be positive, got {_shown(scale)}")
     larger = checked_mul(6, scale)  # the larger modulus, also the lcm
     first = CyclicInterval(modulus=3 * scale, start=0, length=scale)
     second = CyclicInterval(modulus=larger, start=scale, length=2 * scale)

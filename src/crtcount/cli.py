@@ -28,7 +28,7 @@ from .bounds import (
     extremal_sum,
     tightness_instance,
 )
-from .congruence import CongruenceSystem, OverflowLimitError, solve
+from .congruence import CongruenceSystem, OverflowLimitError, _shown, solve
 from .residues import CyclicInterval, ResidueSet, enumerate_solutions, exact_count
 from .runner import RunnerPair, two_runner_witness
 
@@ -41,7 +41,7 @@ def parse_collection(text: str, modulus: int) -> ResidueSet | CyclicInterval:
     offending token named.
     """
     if modulus < 1:
-        raise ValueError(f"modulus must be positive, got {modulus}")
+        raise ValueError(f"modulus must be positive, got {_shown(modulus)}")
     if text.startswith("{") and text.endswith("}"):
         body = text[1:-1].strip()
         seen: set[int] = set()
@@ -57,7 +57,7 @@ def parse_collection(text: str, modulus: int) -> ResidueSet | CyclicInterval:
                 residue = value % modulus
                 if residue in seen:
                     raise ValueError(
-                        f"duplicate residue {token!r} in {text!r} (mod {modulus})"
+                        f"duplicate residue {token!r} in {text!r} (mod {_shown(modulus)})"
                     )
                 seen.add(residue)
         return ResidueSet(modulus=modulus, members=tuple(seen))
@@ -71,7 +71,7 @@ def parse_collection(text: str, modulus: int) -> ResidueSet | CyclicInterval:
             raise ValueError(f"malformed interval {text!r}") from None
         if not 0 <= length <= modulus:
             raise ValueError(
-                f"length {length_text!r} out of range [0, {modulus}] in {text!r}"
+                f"length {length_text!r} out of range [0, {_shown(modulus)}] in {text!r}"
             )
         return CyclicInterval(modulus=modulus, start=start, length=length)
     raise ValueError(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import repeat
 from typing import Iterable
 
@@ -13,12 +14,15 @@ class OverflowLimitError(OverflowError):
     """A product left the signed 64-bit range this library keeps exact."""
 
 
-def _shown(n: int) -> str:
-    """str(n) for a message, or its bit length past Python's int-to-str digit limit."""
+def _shown(n: int | Fraction) -> str:
+    """str(n) for a message. Past Python's int-to-str digit limit an integer
+    shows as its bit length, and a Fraction term by term."""
     try:
         return str(n)
     except ValueError:
-        return f"a {n.bit_length()}-bit integer"
+        if n.denominator != 1:
+            return f"{_shown(n.numerator)}/{_shown(n.denominator)}"
+        return f"a {n.numerator.bit_length()}-bit integer"
 
 
 def checked_mul(a: int, b: int) -> int:
@@ -29,6 +33,14 @@ def checked_mul(a: int, b: int) -> int:
             f"product {_shown(a)} * {_shown(b)} exceeds the 64-bit integer range"
         )
     return product
+
+
+def _checked_bound(value: int, what: str = "bound") -> int:
+    """Return value unchanged, or refuse it when it passes the top of the 64-bit
+    range. Callers pass values that cannot fall below the range."""
+    if value > INT64_MAX:
+        raise OverflowLimitError(f"{what} {_shown(value)} exceeds the 64-bit integer range")
+    return value
 
 
 class _Value:

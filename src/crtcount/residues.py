@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Union
 
 from .congruence import SolutionClass, _shown, _solution_classes, _Value, checked_mul
@@ -23,7 +23,8 @@ def _within_cap(value: int, what: str, *args: int) -> None:
     "<what.format(*args)> exceeds the enumeration cap <cap>"."""
     if value > ENUMERATION_CAP:
         shown = what.format(*map(_shown, args))
-        raise EnumerationCapError(f"{shown} exceeds the enumeration cap {ENUMERATION_CAP}")
+        cap = _shown(ENUMERATION_CAP)
+        raise EnumerationCapError(f"{shown} exceeds the enumeration cap {cap}")
 
 
 class ResidueSet(_Value):
@@ -85,13 +86,15 @@ class CyclicInterval(_Value):
         return self.length
 
     def members(self) -> tuple[int, ...]:
-        return tuple((self.start + i) % self.modulus for i in range(self.length))
+        return tuple(self)
 
     def __contains__(self, residue: int) -> bool:
         return (residue - self.start) % self.modulus < self.length
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.members())
+        # the arc up to the top of the range, then its wrapped part from 0
+        end = self.start + self.length
+        return chain(range(self.start, min(end, self.modulus)), range(end - self.modulus))
 
 
 ResidueCollection = Union[ResidueSet, CyclicInterval]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .congruence import _Value, checked_mul
+from .congruence import _shown, _Value, checked_mul
 from .residues import CyclicInterval
 
 DISTANT_THRESHOLD = Fraction(1, 3)
@@ -37,13 +37,14 @@ def distant_interval(speed: int, denominator: int, runners: int = 2) -> CyclicIn
     residues modulo q.
     """
     if speed < 1:
-        raise ValueError(f"speed must be positive, got {speed}")
+        raise ValueError(f"speed must be positive, got {_shown(speed)}")
     if runners < 2:
-        raise ValueError(f"runners must be at least 2, got {runners}")
+        raise ValueError(f"runners must be at least 2, got {_shown(runners)}")
     factor = (runners + 1) * speed
     if denominator % factor != 0:
         raise ValueError(
-            f"denominator {denominator} is not a multiple of (runners+1)*speed = {factor}"
+            f"denominator {_shown(denominator)} is not a multiple of"
+            f" (runners+1)*speed = {_shown(factor)}"
         )
     period = denominator // speed
     start = period // (runners + 1)
@@ -58,9 +59,11 @@ class RunnerPair(_Value):
 
     def __init__(self, speed_m: int, speed_n: int) -> None:
         if speed_m < 1 or speed_n < 1:
-            raise ValueError(f"speeds must be positive, got ({speed_m}, {speed_n})")
+            raise ValueError(
+                f"speeds must be positive, got ({_shown(speed_m)}, {_shown(speed_n)})"
+            )
         if speed_m == speed_n:
-            raise ValueError(f"speeds must be distinct, got {speed_m} twice")
+            raise ValueError(f"speeds must be distinct, got {_shown(speed_m)} twice")
         object.__setattr__(self, "speed_m", speed_m)
         object.__setattr__(self, "speed_n", speed_n)
 
@@ -72,10 +75,10 @@ class DistantWitness(_Value):
 
     def __init__(self, time: Fraction, distances: tuple[Fraction, Fraction]) -> None:
         if not 0 <= time < 1:
-            raise ValueError(f"witness time must lie in [0, 1), got {time}")
+            raise ValueError(f"witness time must lie in [0, 1), got {_shown(time)}")
         for d in distances:
             if d < DISTANT_THRESHOLD:
-                raise ValueError(f"distance {d} is below the 1/3 threshold")
+                raise ValueError(f"distance {_shown(d)} is below the 1/3 threshold")
         object.__setattr__(self, "time", time)
         object.__setattr__(self, "distances", distances)
 
@@ -102,7 +105,7 @@ def two_runner_witness(pair: RunnerPair) -> DistantWitness:
         first += fast_arc.modulus - offset
     # The argument above rules this out; refuse rather than return a wrong time.
     if first - slow_arc.start >= slow_arc.length:
-        raise RuntimeError(f"no distant time found for speeds ({m}, {n})")
+        raise RuntimeError(f"no distant time found for speeds ({_shown(m)}, {_shown(n)})")
     time = Fraction(first, denominator)
     distances = (circle_distance(m * time), circle_distance(n * time))
     return DistantWitness(time=time, distances=distances)

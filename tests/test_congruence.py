@@ -3,12 +3,22 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crtcount.bounds import InfeasibleError, bound_intervals, extremal_profile, extremal_sum
+from crtcount.bounds import (
+    InfeasibleError,
+    bound_arbitrary,
+    bound_intervals,
+    density_guarantee,
+    extremal_profile,
+    extremal_sum,
+    tightness_instance,
+)
+from crtcount.cli import parse_collection
 from crtcount.congruence import (
     INT64_MAX,
     CongruenceSystem,
@@ -18,7 +28,7 @@ from crtcount.congruence import (
     solve,
 )
 from crtcount.residues import CyclicInterval, EnumerationCapError, ResidueSet, partition_counts
-from crtcount.runner import RunnerPair, two_runner_witness
+from crtcount.runner import DistantWitness, RunnerPair, distant_interval, two_runner_witness
 
 
 def test_checked_mul_small_products():
@@ -85,16 +95,50 @@ POSITIVE = f"must be positive, got {BIG}"
             lambda: partition_counts(ResidueSet(HUGE + 1, ()), 3),
             f"divisor 3 does not divide modulus {BIG}",
         ),
+        (lambda: bound_intervals(-HUGE, 1, 0, 0), rf"moduli must be positive, got \({BIG}, 1\)"),
+        (lambda: bound_arbitrary(5, 7, HUGE, 0), rf"size {BIG} out of range \[0, 5\]"),
+        (lambda: density_guarantee(5, 7, HUGE, 0), rf"size {BIG} out of range \[0, 5\]"),
+        (lambda: extremal_profile(0, -HUGE, 1), f"cap {POSITIVE}"),
+        (lambda: extremal_profile(-HUGE, 1, 1), f"size must be non-negative, got {BIG}"),
+        (lambda: extremal_sum(0, 1, 0, 1, -HUGE), f"length {POSITIVE}"),
+        (lambda: tightness_instance(-HUGE), f"scale {POSITIVE}"),
+        (lambda: RunnerPair(-HUGE, 1), rf"speeds must be positive, got \({BIG}, 1\)"),
+        (lambda: RunnerPair(HUGE, HUGE), f"speeds must be distinct, got {BIG} twice"),
+        (lambda: distant_interval(-HUGE, 3), f"speed {POSITIVE}"),
+        (lambda: distant_interval(1, 3, -HUGE), f"runners must be at least 2, got {BIG}"),
+        (
+            lambda: distant_interval(1, HUGE + 1),
+            rf"denominator {BIG} is not a multiple of \(runners\+1\)\*speed = 3",
+        ),
+        (
+            # a whole number as a Fraction: denominator 1 and no bit_length()
+            lambda: DistantWitness(Fraction(3 * HUGE, 2), (Fraction(1, 3), Fraction(1, 3))),
+            rf"witness time must lie in \[0, 1\), got {BIG}",
+        ),
+        (
+            lambda: DistantWitness(Fraction(1, 3), (Fraction(1, 3 * HUGE), Fraction(1, 3))),
+            f"distance 1/{BIG} is below the 1/3 threshold",
+        ),
+        (lambda: parse_collection("{1}", -HUGE), f"modulus {POSITIVE}"),
+        (
+            lambda: parse_collection("{1,1}", HUGE),
+            rf"duplicate residue '1' in '\{{1,1\}}' \(mod {BIG}\)",
+        ),
     ],
     ids=[
         "system_modulus", "solution_modulus", "solution_residue", "set_modulus",
         "set_residue", "interval_modulus", "interval_length", "divisor_sign",
-        "divisor", "partition_modulus",
+        "divisor", "partition_modulus", "bound_moduli", "bound_size", "density_size",
+        "profile_cap", "profile_size", "extremal_length", "tightness_scale",
+        "runner_speeds", "runner_distinct", "arc_speed", "arc_runners",
+        "arc_denominator", "witness_time", "witness_distance", "parse_modulus",
+        "parse_duplicate",
     ],
 )
 def test_constructor_refusals_name_their_field(refused, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{message}$") as refusal:
         refused()
+    assert "Exceeds the limit" not in str(refusal.value)
 
 
 def test_congruence_normalizes_residue():

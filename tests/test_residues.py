@@ -302,3 +302,11 @@ def test_enumeration_walks_only_the_smaller_collection(intervals_not_walked):
     assert enumerate_solutions(full, single) == enumerate_solutions(single, full)
     arc = CyclicInterval(2 * 10**6, 10**6, 3)
     assert [c.residue for c in enumerate_solutions(single, arc)] == []
+    # Two disjoint halves of one modulus share no solution, yet lcm 10**12 is
+    # past the cap, which must refuse before either half is walked.
+    low = CyclicInterval(10**12, 0, 5 * 10**11)
+    high = CyclicInterval(10**12, 5 * 10**11, 5 * 10**11)
+    assert exact_count(low, high) == 0
+    for a, b in ((low, high), (high, low)):
+        with pytest.raises(EnumerationCapError):
+            enumerate_solutions(a, b)

@@ -1,14 +1,14 @@
 """Run tier-1 against one-edit mutants of src/ and report which ones it kills.
 
 Each mutant is one (file, exact old text, new text) edit kept in MUTANTS
-below. For each, the script copies src/, tests/ and tools/ into a temporary
-directory, applies the edit there, runs the tier-1 suite with -x and prints
-"killed" when some test fails or "survived" when every test passes. The
-working tree is never modified. It first runs the suite on the unmutated
-copy, because a suite that already fails would kill every mutant. Standard
-library only, apart from the suite's own pytest and hypothesis; not part of
-tier-1. A surviving mutant costs one full suite run, so expect several
-minutes:
+below. For each, the script copies src/, tests/, tools/ and perfbench/ (whose
+traced names tests/test_api.py reads) into a temporary directory, applies
+the edit there, runs the tier-1 suite with -x and prints "killed" when some
+test fails or "survived" when every test passes. The working tree is never
+modified. It first runs the suite on the unmutated copy, because a suite
+that already fails would kill every mutant. Standard library only, apart
+from the suite's own pytest and hypothesis; not part of tier-1. A surviving
+mutant costs one full suite run, so expect several minutes:
 
     python3 tools/mutants.py
 
@@ -26,7 +26,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "tools", "pyproject.toml")
+COPIED = ("src", "tests", "tools", "perfbench", "pyproject.toml")
 
 # (name, file under src/crtcount, exact old text, new text)
 MUTANTS = [
@@ -126,6 +126,31 @@ MUTANTS = [
         "[r % g for r in b.members]",
         "[r % g for r in a.members]",
     ),
+    (
+        "64-bit bound refuses its top edge",
+        "congruence.py",
+        "    if value > INT64_MAX:\n",
+        "    if value >= INT64_MAX:\n",
+    ),
+    (
+        "refusal shows a Fraction as one integer",
+        "congruence.py",
+        "        if n.denominator != 1:\n"
+        '            return f"{_shown(n.numerator)}/{_shown(n.denominator)}"\n',
+        "",
+    ),
+    (
+        "size refusal formats with str()",
+        "bounds.py",
+        'f"size {_shown(size_a)} out of range',
+        'f"size {size_a} out of range',
+    ),
+    (
+        "interval iteration wraps one too far",
+        "residues.py",
+        "range(end - self.modulus))",
+        "range(end - self.modulus + 1))",
+    ),
 ]
 
 
@@ -150,7 +175,7 @@ def copy_tree(destination: Path) -> None:
     for name in COPIED:
         source = ROOT / name
         if source.is_dir():
-            skipped = shutil.ignore_patterns("__pycache__")
+            skipped = shutil.ignore_patterns("__pycache__", "out")  # out/: benchmark runs
             shutil.copytree(source, destination / name, ignore=skipped)
         else:
             shutil.copy2(source, destination / name)
