@@ -3,11 +3,13 @@
 A runner with integer speed v sits at position v*t mod 1 at time t. Two
 runners with distinct positive speeds m and n (a stationary observer at the
 origin makes a third) always admit a time at which both are at circle
-distance at least 1/3 from the observer. On the grid t = x / (3*m*n) the
-times keeping a single runner that far away form one cyclic interval of
-residues. The earliest common point lies on the slower runner's first arc
-and is found by one modular step, in O(1) integer operations whatever the
-speeds.
+distance at least 1/3 from the observer. On the grid t = x / (3*m*n), with
+s < f the two speeds, the slow runner sits at x/(3f) and is that far away
+exactly when x mod 3f lies in [f, 2f]; the fast runner sits at x/(3s) and is
+that far away exactly when x mod 3s lies in [s, 2s]. The earliest common
+point is found from x = f by one modular step, in O(1) integer operations
+whatever the speeds; a witness then builds three Fractions and does no
+Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -20,10 +22,15 @@ from .residues import CyclicInterval
 DISTANT_THRESHOLD = Fraction(1, 3)
 
 
+def _distance(p: int, q: int) -> Fraction:
+    """Distance from p/q (q > 0) to the nearest integer: a Fraction in [0, 1/2]."""
+    r = p % q
+    return Fraction(min(r, q - r), q)
+
+
 def circle_distance(x: int | Fraction) -> Fraction:
     """Distance from x, an int or a Fraction, to the nearest integer: a Fraction in [0, 1/2]."""
-    r = x.numerator % x.denominator
-    return Fraction(min(r, x.denominator - r), x.denominator)
+    return _distance(x.numerator, x.denominator)
 
 
 def distant_interval(speed: int, denominator: int, runners: int = 2) -> CyclicInterval:
@@ -74,10 +81,12 @@ class DistantWitness(_Value):
     __slots__ = ("time", "distances")
 
     def __init__(self, time: Fraction, distances: tuple[Fraction, Fraction]) -> None:
-        if not 0 <= time < 1:
+        # Compared term by term, which is exact because a Fraction's (or an
+        # int's) denominator is positive; a float has no numerator and is refused.
+        if not 0 <= time.numerator < time.denominator:
             raise ValueError(f"witness time must lie in [0, 1), got {_shown(time)}")
         for d in distances:
-            if d < DISTANT_THRESHOLD:
+            if 3 * d.numerator < d.denominator:
                 raise ValueError(f"distance {_shown(d)} is below the 1/3 threshold")
         object.__setattr__(self, "time", time)
         object.__setattr__(self, "distances", distances)
@@ -88,24 +97,25 @@ def two_runner_witness(pair: RunnerPair) -> DistantWitness:
 
     Works on the grid t = x / (3*m*n). Let s < f be the two speeds. The slow
     runner is far exactly when x mod 3f lies in [f, 2f], so no point before
-    x = f qualifies. On that first arc, t runs over [1/(3s), 2/(3s)] and the
-    fast runner sweeps a closed interval of length f/(3s). If f < 2s, x = f
-    itself works, since f*t = 1/3 + (f-s)/(3s) there. If f >= 2s, the sweep
-    is at least 2/3 long and must meet the fast runner's far zone. Either
-    way the answer is the first x >= f with x mod 3s in [s, 2s], one modular
-    step from f and at most 2f, so the cost is O(1) integer operations.
+    x = f qualifies; the fast runner is far exactly when x mod 3s lies in
+    [s, 2s]. For x in [f, 2f], t runs over [1/(3s), 2/(3s)] and the fast
+    runner sweeps a closed interval of length f/(3s). If f < 2s, x = f itself
+    works, since f*t = 1/3 + (f-s)/(3s) there. If f >= 2s, the sweep is at
+    least 2/3 long and must meet the fast runner's far zone. Either way the
+    answer is the first x >= f with x mod 3s in [s, 2s], one modular step
+    from f and at most 2f. Runner m then sits at x/(3n) and runner n at
+    x/(3m), so the distances come from x mod 3n and x mod 3m, and the cost
+    is O(1) integer operations.
     """
     m, n = pair.speed_m, pair.speed_n
     denominator = checked_mul(3 * m, n)
-    slow_arc = distant_interval(min(m, n), denominator)
-    fast_arc = distant_interval(max(m, n), denominator)
-    first = slow_arc.start
-    offset = (first - fast_arc.start) % fast_arc.modulus
-    if offset >= fast_arc.length:
-        first += fast_arc.modulus - offset
+    slow, fast = min(m, n), max(m, n)
+    first = fast
+    offset = (first - slow) % (3 * slow)
+    if offset > slow:
+        first += 3 * slow - offset
     # The argument above rules this out; refuse rather than return a wrong time.
-    if first - slow_arc.start >= slow_arc.length:
+    if first > 2 * fast:
         raise RuntimeError(f"no distant time found for speeds ({_shown(m)}, {_shown(n)})")
-    time = Fraction(first, denominator)
-    distances = (circle_distance(m * time), circle_distance(n * time))
-    return DistantWitness(time=time, distances=distances)
+    distances = (_distance(first, 3 * n), _distance(first, 3 * m))
+    return DistantWitness(Fraction(first, denominator), distances)

@@ -171,25 +171,47 @@ def test_runner_report():
     }
 
 
+RUNNER_EDGE = (2**63 - 1) // 3  # the largest n with 3*1*n in signed 64 bits
+
+
 def test_runner_report_at_large_speeds():
     assert invoke("runner", "--speeds", "999999999,1000000000") == (
         0,
         "t = 1/2999999997, distances 1/3, 1000000000/2999999997\n",
         "",
     )
+    speeds = ("runner", "--speeds", f"1,{RUNNER_EDGE}")
+    assert invoke(*speeds) == (0, "t = 1/3, distances 1/3, 1/3\n", "")
+    code, out, err = invoke(*speeds, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "status": "ok",
+        "witness_numerator": 1,
+        "witness_denominator": 3,
+        "distances": [
+            {"numerator": 1, "denominator": 3},
+            {"numerator": 1, "denominator": 3},
+        ],
+    }
 
 
 def test_runner_outside_64_bits_is_refused():
-    speeds = ("runner", "--speeds", "3037000500,3037000501")
-    code, out, err = invoke(*speeds)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and "64-bit" in err
-    assert err.count("\n") == 1
-    code, out, err = invoke(*speeds, "--json")
-    assert (code, out) == (2, "")
-    assert err.count("\n") == 1
-    record = json.loads(err)
-    assert record["status"] == "error" and "64-bit" in record["message"]
+    for pair in ("3037000500,3037000501", f"1,{RUNNER_EDGE + 1}"):
+        speeds = ("runner", "--speeds", pair)
+        code, out, err = invoke(*speeds)
+        assert (code, out) == (2, ""), pair
+        assert err.startswith("error: ") and "64-bit" in err
+        assert err.count("\n") == 1
+        code, out, err = invoke(*speeds, "--json")
+        assert (code, out) == (2, ""), pair
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["status"] == "error" and "64-bit" in record["message"]
+    assert invoke("runner", "--speeds", f"1,{RUNNER_EDGE + 1}") == (
+        2,
+        "",
+        f"error: product 3 * {RUNNER_EDGE + 1} exceeds the 64-bit integer range\n",
+    )
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from crtcount import congruence
+from crtcount import congruence, runner
+from crtcount.congruence import INT64_MAX, OverflowLimitError
 from crtcount.congruence import CongruenceSystem, solve
 from crtcount.residues import CyclicInterval
 from crtcount.runner import (
@@ -105,6 +106,36 @@ def test_distant_witness_validation():
         DistantWitness(Fraction(1, 3), (Fraction(1, 4), Fraction(1, 2)))
     with pytest.raises(ValueError):
         DistantWitness(Fraction(3, 2), (Fraction(1, 3), Fraction(1, 3)))
+    # a float is not exact, so it is refused rather than stored
+    with pytest.raises(AttributeError, match="numerator"):
+        DistantWitness(0.5, (0.4, 0.4))
+    with pytest.raises(AttributeError, match="numerator"):
+        DistantWitness(Fraction(1, 2), (Fraction(1, 2), 0.4))
+
+
+RATIONALS = st.one_of(st.fractions(), st.integers())
+
+
+@given(RATIONALS, st.tuples(RATIONALS, RATIONALS))
+@example(0, (Fraction(1, 3), Fraction(1, 2)))
+@example(Fraction(2, 3), (1, Fraction(1, 3)))
+@example(Fraction(-1, 3), (Fraction(1, 3), Fraction(1, 3)))
+@example(1, (Fraction(1, 3), Fraction(1, 3)))
+@example(Fraction(1, 2), (Fraction(1, 3), Fraction(1, 4)))
+@example(Fraction(1, 2), (Fraction(-1, 2), Fraction(1, 3)))
+def test_distant_witness_accepts_exactly_under_fraction_order(time, distances):
+    below = [d for d in distances if d < DISTANT_THRESHOLD]
+    if not 0 <= time < 1:
+        message = f"witness time must lie in [0, 1), got {time}"
+    elif below:
+        message = f"distance {below[0]} is below the 1/3 threshold"
+    else:
+        witness = DistantWitness(time, distances)
+        assert (witness.time, witness.distances) == (time, distances)
+        return
+    with pytest.raises(ValueError) as refusal:
+        DistantWitness(time, distances)
+    assert str(refusal.value) == message
 
 
 def test_witness_golden_pairs():
@@ -115,6 +146,17 @@ def test_witness_golden_pairs():
     assert two_runner_witness(RunnerPair(2, 4)).time == Fraction(1, 6)
     # speed order does not matter for the time
     assert two_runner_witness(RunnerPair(2, 1)).time == Fraction(1, 3)
+
+
+EDGE = INT64_MAX // 3  # the largest n with 3*1*n in signed 64 bits
+
+
+def test_witness_at_the_64_bit_edge():
+    w = two_runner_witness(RunnerPair(1, EDGE))
+    assert w.time == Fraction(1, 3)
+    assert w.distances == (Fraction(1, 3), Fraction(1, 3))
+    with pytest.raises(OverflowLimitError, match=f"product 3 \\* {EDGE + 1} exceeds"):
+        two_runner_witness(RunnerPair(1, EDGE + 1))
 
 
 def test_witness_is_smallest_grid_time():
@@ -193,11 +235,17 @@ def test_witness_equals_crt_pairing_oracle():
 
 def test_witness_touches_no_arc_members_or_solver(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the witness search walked an arc or called the solver")
+        raise AssertionError(
+            "the witness search walked or built an arc, called the solver,"
+            " or did Fraction arithmetic"
+        )
 
     monkeypatch.setattr(CyclicInterval, "__iter__", refuse)
     monkeypatch.setattr(CyclicInterval, "members", refuse)
     monkeypatch.setattr(congruence, "solve", refuse)
+    monkeypatch.setattr(runner, "distant_interval", refuse)
+    for name in ("__mul__", "__rmul__", "__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Fraction, name, refuse)
     witness = two_runner_witness(RunnerPair(999999999, 10**9))
     assert witness.time == Fraction(1, 2999999997)
     assert witness.distances == (Fraction(1, 3), Fraction(10**9, 2999999997))

@@ -69,8 +69,26 @@ MUTANTS = [
     (
         "runner modular step",
         "runner.py",
-        "first += fast_arc.modulus - offset",
-        "first += fast_arc.modulus - offset + 1",
+        "first += 3 * slow - offset",
+        "first += 3 * slow - offset + 1",
+    ),
+    (
+        "witness threshold refuses 1/3",
+        "runner.py",
+        "if 3 * d.numerator < d.denominator:",
+        "if 3 * d.numerator <= d.denominator:",
+    ),
+    (
+        "circle distance ignores the near side",
+        "runner.py",
+        "Fraction(min(r, q - r), q)",
+        "Fraction(r, q)",
+    ),
+    (
+        "runner guard drops the factor 3",
+        "runner.py",
+        "checked_mul(3 * m, n)",
+        "checked_mul(m, n)",
     ),
     (
         "distant arc length",
