@@ -22,6 +22,22 @@ from typing import NamedTuple, Sequence
 from .congruence import _checked_bound, _shown, _Value, checked_mul
 from .residues import CyclicInterval, _within_cap, interval_block_pairs
 
+# Defined here but outside the API: the oracle rearrangement_bounds.
+__all__ = [
+    "BoundResult",
+    "CASE_BOUNDARY",
+    "CASE_EMPTY",
+    "CASE_OVERLAP",
+    "ExtremalProfile",
+    "InfeasibleError",
+    "bound_arbitrary",
+    "bound_intervals",
+    "density_guarantee",
+    "extremal_profile",
+    "extremal_sum",
+    "tightness_instance",
+]
+
 CASE_EMPTY = "empty"
 CASE_BOUNDARY = "boundary"
 CASE_OVERLAP = "overlap"

@@ -7,6 +7,15 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable
 
+__all__ = [
+    "INT64_MAX",
+    "CongruenceSystem",
+    "OverflowLimitError",
+    "SolutionClass",
+    "checked_mul",
+    "solve",
+]
+
 INT64_MAX = 2**63 - 1
 
 

@@ -10,6 +10,17 @@ from typing import Callable, Iterable, Iterator, Union
 
 from .congruence import SolutionClass, _shown, _solution_classes, _Value, checked_mul
 
+# Defined here but outside the API: the oracle partition_counts.
+__all__ = [
+    "ENUMERATION_CAP",
+    "CyclicInterval",
+    "EnumerationCapError",
+    "ResidueCollection",
+    "ResidueSet",
+    "enumerate_solutions",
+    "exact_count",
+]
+
 ENUMERATION_CAP = 10_000_000
 
 

@@ -19,6 +19,13 @@ from fractions import Fraction
 from .congruence import _shown, _Value, checked_mul
 from .residues import CyclicInterval
 
+# Outside the API, as oracles: DISTANT_THRESHOLD, circle_distance, distant_interval.
+__all__ = [
+    "DistantWitness",
+    "RunnerPair",
+    "two_runner_witness",
+]
+
 DISTANT_THRESHOLD = Fraction(1, 3)
 
 

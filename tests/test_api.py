@@ -2,9 +2,11 @@
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import crtcount
+from crtcount import bounds, congruence, residues, runner
 
 PUBLIC = {
     "BoundResult",
@@ -13,7 +15,6 @@ PUBLIC = {
     "CASE_OVERLAP",
     "CongruenceSystem",
     "CyclicInterval",
-    "DISTANT_THRESHOLD",
     "DistantWitness",
     "ENUMERATION_CAP",
     "EnumerationCapError",
@@ -28,25 +29,50 @@ PUBLIC = {
     "bound_arbitrary",
     "bound_intervals",
     "checked_mul",
-    "circle_distance",
     "density_guarantee",
-    "distant_interval",
     "enumerate_solutions",
     "exact_count",
     "extremal_profile",
     "extremal_sum",
-    "partition_counts",
-    "rearrangement_bounds",
     "solve",
     "tightness_instance",
     "two_runner_witness",
 }
 
+MODULES = (bounds, congruence, residues, runner)
+
+# Oracles the tests and the traced benchmark reach in their modules, outside the API.
+ORACLES = {
+    bounds: ("rearrangement_bounds",),
+    residues: ("partition_counts",),
+    runner: ("DISTANT_THRESHOLD", "circle_distance", "distant_interval"),
+}
+
+
 def test_public_names():
-    assert len(crtcount.__all__) == len(PUBLIC) == 33
+    assert len(crtcount.__all__) == len(PUBLIC) == 28
     assert set(crtcount.__all__) == PUBLIC
     for name in crtcount.__all__:
         assert hasattr(crtcount, name), name
+
+
+def test_each_public_name_is_listed_once_in_its_own_module():
+    listed = [name for module in MODULES for name in module.__all__]
+    assert sorted(listed) == sorted(crtcount.__all__)
+    assert len(set(listed)) == len(listed)
+    for module in MODULES:
+        for name in module.__all__:
+            value = getattr(module, name)
+            assert getattr(crtcount, name) is value, name
+            if inspect.isclass(value) or inspect.isfunction(value):
+                assert value.__module__ == module.__name__, name
+
+
+def test_oracles_stay_in_their_modules_outside_the_api():
+    for module, names in ORACLES.items():
+        for name in names:
+            assert hasattr(module, name), name
+            assert name not in crtcount.__all__ and not hasattr(crtcount, name), name
 
 
 def test_traced_attributes_exist(monkeypatch):

@@ -10,45 +10,38 @@ from pathlib import Path
 import pytest
 
 import crtcount
-from crtcount import (
-    CongruenceSystem,
-    CyclicInterval,
-    DistantWitness,
-    ExtremalProfile,
-    ResidueSet,
-    RunnerPair,
-    SolutionClass,
-    extremal_profile,
-    solve,
-    two_runner_witness,
-)
+from crtcount.bounds import ExtremalProfile, extremal_profile
+from crtcount.congruence import CongruenceSystem, SolutionClass, _Value, solve
+from crtcount.residues import CyclicInterval, ResidueSet
+from crtcount.runner import DistantWitness, RunnerPair, two_runner_witness
 
-INSTANCES = [
-    CongruenceSystem.from_pairs([(2, 3), (3, 5)]),
-    SolutionClass(8, 15),
-    ResidueSet(4, (2, 0, 1)),
-    CyclicInterval(modulus=5, start=9, length=3),
-    extremal_profile(5, 2, 4),
-    RunnerPair(3, 2),
-    two_runner_witness(RunnerPair(1, 2)),
-]
+# One factory per value type, called inside each test row, so a fault in one
+# constructor (a wrong runner answer, say) fails only that type's rows.
+FACTORIES = {
+    CongruenceSystem: lambda: CongruenceSystem.from_pairs([(2, 3), (3, 5)]),
+    SolutionClass: lambda: SolutionClass(8, 15),
+    ResidueSet: lambda: ResidueSet(4, (2, 0, 1)),
+    CyclicInterval: lambda: CyclicInterval(modulus=5, start=9, length=3),
+    ExtremalProfile: lambda: extremal_profile(5, 2, 4),
+    RunnerPair: lambda: RunnerPair(3, 2),
+    DistantWitness: lambda: two_runner_witness(RunnerPair(1, 2)),
+}
+each_type = pytest.mark.parametrize("kind", FACTORIES, ids=lambda kind: kind.__name__)
+
+
+def make(kind):
+    value = FACTORIES[kind]()
+    assert type(value) is kind
+    return value
 
 
 def test_instances_cover_every_value_type():
-    kinds = {type(value) for value in INSTANCES}
-    assert kinds == {
-        CongruenceSystem,
-        SolutionClass,
-        ResidueSet,
-        CyclicInterval,
-        ExtremalProfile,
-        RunnerPair,
-        DistantWitness,
-    }
+    assert set(FACTORIES) == set(_Value.__subclasses__())
 
 
-@pytest.mark.parametrize("value", INSTANCES, ids=lambda value: type(value).__name__)
-def test_pickle_and_copy_round_trips(value):
+@each_type
+def test_pickle_and_copy_round_trips(kind):
+    value = make(kind)
     for twin in (
         pickle.loads(pickle.dumps(value)),
         copy.copy(value),
@@ -62,9 +55,10 @@ def test_pickle_and_copy_round_trips(value):
             assert 1 in twin and 3 not in twin
 
 
-@pytest.mark.parametrize("value", INSTANCES, ids=lambda value: type(value).__name__)
-def test_fields_cannot_be_assigned_or_deleted(value):
-    field = type(value).__match_args__[0]
+@each_type
+def test_fields_cannot_be_assigned_or_deleted(kind):
+    value = make(kind)
+    field = kind.__match_args__[0]
     with pytest.raises(AttributeError):
         setattr(value, field, 0)
     with pytest.raises(AttributeError):

@@ -169,6 +169,12 @@ MUTANTS = [
         "range(end - self.modulus))",
         "range(end - self.modulus + 1))",
     ),
+    (
+        "package API drops solve",
+        "congruence.py",
+        '    "solve",\n',
+        "",
+    ),
 ]
 
 
