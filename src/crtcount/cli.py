@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from typing import Sequence, TextIO
@@ -30,7 +29,6 @@ from .bounds import (
 )
 from .congruence import CongruenceSystem, OverflowLimitError, _shown, solve
 from .residues import CyclicInterval, ResidueSet, enumerate_solutions, exact_count
-from .runner import RunnerPair, two_runner_witness
 
 
 def parse_collection(text: str, modulus: int) -> ResidueSet | CyclicInterval:
@@ -93,6 +91,8 @@ def _int_pair(text: str, sep: str, message: str) -> tuple[int, int]:
 def _emit(json_mode: bool, record: dict, lines: list[str] | None, file: TextIO) -> None:
     """Print the record as JSON, or as text: the given lines, else one per field."""
     if json_mode:
+        import json  # only --json output needs it
+
         print(json.dumps(record), file=file)
     elif lines is None:
         for key, value in record.items():
@@ -175,6 +175,8 @@ def _cmd_tightness(args: argparse.Namespace) -> tuple[dict, list[str]]:
 
 
 def _cmd_runner(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    from .runner import RunnerPair, two_runner_witness  # loads fractions
+
     pair = _int_pair(args.speeds, ",", "speeds {!r} must be two comma-separated integers")
     witness = two_runner_witness(RunnerPair(*pair))
     first, second = witness.distances

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import repeat
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "INT64_MAX",

@@ -1,8 +1,12 @@
 """The package's public names, and the module attributes bound by name elsewhere."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import crtcount
@@ -40,6 +44,7 @@ PUBLIC = {
 }
 
 MODULES = (bounds, congruence, residues, runner)
+API = [name for module in MODULES for name in module.__all__]  # __all__'s order
 
 # Oracles the tests and the traced benchmark reach in their modules, outside the API.
 ORACLES = {
@@ -88,3 +93,41 @@ def test_traced_attributes_exist(monkeypatch):
         module_name, attr = qualname.split(".")
         module = importlib.import_module(f"crtcount.{module_name}")
         assert callable(getattr(module, attr, None)), qualname
+
+
+def in_fresh_interpreter(code, *args):
+    """Run code in a fresh `python -I` that finds crtcount where this test
+    process did, after `import sys`, and return the literal it prints."""
+    src = Path(crtcount.__file__).resolve().parents[1]
+    prelude = f"import sys; sys.path.insert(0, {str(src)!r})\n"
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", prelude + code, *args],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return ast.literal_eval(proc.stdout)
+
+
+def test_runner_loads_on_first_use_of_the_lazy_api():
+    # Each probe starts from a bare `import crtcount`, which loads neither runner
+    # nor fractions; the package's __getattr__ imports runner on first use.
+    def after_import(code):
+        return in_fresh_interpreter(f"import crtcount\n{code}")
+
+    loaded = "print([name in sys.modules for name in ('crtcount.runner', 'fractions')])"
+    assert after_import(loaded) == [False, False]
+    assert after_import("print(crtcount.__all__)") == API
+    star = "exec('from crtcount import *', names := {}); print(sorted(names))"
+    assert after_import(star) == sorted(["__builtins__", *API])
+    assert set(API) <= set(after_import("print(dir(crtcount))"))
+    assert after_import("print(crtcount.runner is sys.modules['crtcount.runner'])") is True
+    assert after_import("print(hasattr(crtcount, 'circle_distance'))") is False
+    same = "print(crtcount.RunnerPair is sys.modules['crtcount.runner'].RunnerPair)"
+    assert after_import(same) is True
+
+
+def test_pickled_witness_loads_in_an_interpreter_that_imported_nothing():
+    witness = crtcount.two_runner_witness(crtcount.RunnerPair(1, 3))
+    loaded = "import pickle; print(repr(repr(pickle.loads(bytes.fromhex(sys.argv[1])))))"
+    assert in_fresh_interpreter(loaded, pickle.dumps(witness).hex()) == repr(witness)

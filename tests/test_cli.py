@@ -1,5 +1,6 @@
 """Unit tests for argument parsing, report formats, and exit codes."""
 
+import ast
 import importlib.util
 import io
 import json
@@ -354,6 +355,38 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "x ≡ 8 (mod 15)\n"
+
+
+def test_cli_loads_fractions_and_json_only_on_the_paths_that_use_them():
+    # In a fresh interpreter: what `import crtcount.cli` leaves out, then what a
+    # text runner call and a --json call add. Module names only, no timings.
+    probe = (
+        "import io, sys; from contextlib import redirect_stdout\n"
+        "sys.path.insert(0, sys.argv[1]); import crtcount.cli\n"
+        "deferred = ('fractions', 'decimal', 'numbers', 'json', 'crtcount.runner')\n"
+        "def loaded(): return sorted(m for m in deferred if m in sys.modules)\n"
+        "print(repr(loaded()))\n"
+        "for argv in (['runner', '--speeds', '1,2'], ['solve', '2:3', '3:5', '--json']):\n"
+        "    with redirect_stdout(out := io.StringIO()):\n"
+        "        code = crtcount.cli.run(argv)\n"
+        "    print(repr([code, out.getvalue(), loaded()]))\n"
+    )
+    src = Path(residues.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", probe, str(src)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    imported, runner, json_call = map(ast.literal_eval, proc.stdout.splitlines())
+    assert imported == []
+    assert runner == [
+        0,
+        "t = 1/3, distances 1/3, 1/3\n",
+        ["crtcount.runner", "decimal", "fractions", "numbers"],
+    ]
+    assert json_call[:2] == [0, '{"status": "ok", "residue": 8, "modulus": 15}\n']
+    assert "json" in json_call[2]
 
 
 def test_out_of_range_bound_is_refused():

@@ -175,6 +175,18 @@ MUTANTS = [
         '    "solve",\n',
         "",
     ),
+    (
+        "cli imports json at module level",
+        "cli.py",
+        "import functools\nimport math\n",
+        "import functools\nimport json\nimport math\n",
+    ),
+    (
+        "lazy __all__ drops the runner names",
+        "__init__.py",
+        " + residues.__all__ + runner.__all__",
+        " + residues.__all__",
+    ),
 ]
 
 
