@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: solve, count, bound, extremal, tightness, runner. Each handler
-returns a record and, optionally, its text lines; run alone prints and picks
-the exit status. A result goes to stdout as text (the lines, else one
+Subcommands: solve, count, bound, extremal, tightness, runner, each one row
+of _SUBCOMMANDS (name, help, handler, arguments). Each handler returns a
+record and, optionally, its text lines; run alone prints and picks the exit
+status. A result goes to stdout as text (the lines, else one
 `key = value` line per field) or, with --json, as one JSON record; a refusal
 goes to stderr as `error: <message>` or the record {"status": "error",
 "message": ...}. Exit status is 0 when the record's status is "ok", 1 when the
@@ -175,10 +176,10 @@ def _cmd_tightness(args: argparse.Namespace) -> tuple[dict, list[str]]:
 
 
 def _cmd_runner(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    from .runner import RunnerPair, two_runner_witness  # loads fractions
+    import crtcount.runner as runner  # loads fractions
 
     pair = _int_pair(args.speeds, ",", "speeds {!r} must be two comma-separated integers")
-    witness = two_runner_witness(RunnerPair(*pair))
+    witness = runner.two_runner_witness(runner.RunnerPair(*pair))
     first, second = witness.distances
     record = {
         "status": "ok",
@@ -192,6 +193,39 @@ def _cmd_runner(args: argparse.Namespace) -> tuple[dict, list[str]]:
     return record, [f"t = {witness.time}, distances {first}, {second}"]
 
 
+# Each argument is (flag or name, add_argument keywords), added after --json in
+# row order, so the help and usage text keep their argument order.
+_SUBCOMMANDS = (
+    ("solve", "solve a system of congruences", _cmd_solve, (
+        ("congruences", dict(nargs="+", metavar="a:m", help="congruence x ≡ a (mod m)")),
+    )),
+    ("count", "count common solutions of two residue collections", _cmd_count, (
+        ("m", dict(type=int, help="first modulus")),
+        ("n", dict(type=int, help="second modulus")),
+        ("collection_a", dict(metavar="A", help="collection mod m: {r1,r2,...} or start+len")),
+        ("collection_b", dict(metavar="B", help="collection mod n: {r1,r2,...} or start+len")),
+        ("--enumerate", dict(action="store_true", help="also list the solution residues")),
+    )),
+    ("bound", "lower bound on the solution count from sizes alone", _cmd_bound, (
+        ("mode", dict(choices=("arbitrary", "interval"))),
+        ("m", dict(type=int, help="first modulus")),
+        ("n", dict(type=int, help="second modulus")),
+        ("size_a", dict(type=int, help="size of the first collection")),
+        ("size_b", dict(type=int, help="size of the second collection")),
+    )),
+    ("extremal", "worst-case count profiles and their pairing sum", _cmd_extremal, tuple(
+        (name, dict(type=int)) for name in ("size_a", "cap_a", "size_b", "cap_b", "length")
+    )),
+    ("tightness", "one-third-density interval pair with no common solution", _cmd_tightness, (
+        ("--M", dict(dest="scale", type=int, required=True,
+                     help="scale factor; moduli are 3M and 6M")),
+    )),
+    ("runner", "time keeping two runners at distance >= 1/3 from the origin", _cmd_runner, (
+        ("--speeds", dict(required=True, metavar="M,N", help="two distinct positive speeds")),
+    )),
+)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -201,86 +235,13 @@ def _build_parser() -> argparse.ArgumentParser:
             "collections, plus a two-runner distant-time search."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json", action="store_true", help="emit one JSON record instead of text"
-    )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_solve = subparsers.add_parser(
-        "solve", parents=[common], help="solve a system of congruences"
-    )
-    p_solve.add_argument(
-        "congruences", nargs="+", metavar="a:m", help="congruence x ≡ a (mod m)"
-    )
-    p_solve.set_defaults(handler=_cmd_solve)
-
-    p_count = subparsers.add_parser(
-        "count",
-        parents=[common],
-        help="count common solutions of two residue collections",
-    )
-    p_count.add_argument("m", type=int, help="first modulus")
-    p_count.add_argument("n", type=int, help="second modulus")
-    p_count.add_argument(
-        "collection_a", metavar="A", help="collection mod m: {r1,r2,...} or start+len"
-    )
-    p_count.add_argument(
-        "collection_b", metavar="B", help="collection mod n: {r1,r2,...} or start+len"
-    )
-    p_count.add_argument(
-        "--enumerate", action="store_true", help="also list the solution residues"
-    )
-    p_count.set_defaults(handler=_cmd_count)
-
-    p_bound = subparsers.add_parser(
-        "bound",
-        parents=[common],
-        help="lower bound on the solution count from sizes alone",
-    )
-    p_bound.add_argument("mode", choices=("arbitrary", "interval"))
-    p_bound.add_argument("m", type=int, help="first modulus")
-    p_bound.add_argument("n", type=int, help="second modulus")
-    p_bound.add_argument("size_a", type=int, help="size of the first collection")
-    p_bound.add_argument("size_b", type=int, help="size of the second collection")
-    p_bound.set_defaults(handler=_cmd_bound)
-
-    p_extremal = subparsers.add_parser(
-        "extremal",
-        parents=[common],
-        help="worst-case count profiles and their pairing sum",
-    )
-    p_extremal.add_argument("size_a", type=int)
-    p_extremal.add_argument("cap_a", type=int)
-    p_extremal.add_argument("size_b", type=int)
-    p_extremal.add_argument("cap_b", type=int)
-    p_extremal.add_argument("length", type=int)
-    p_extremal.set_defaults(handler=_cmd_extremal)
-
-    p_tight = subparsers.add_parser(
-        "tightness",
-        parents=[common],
-        help="one-third-density interval pair with no common solution",
-    )
-    p_tight.add_argument(
-        "--M",
-        dest="scale",
-        type=int,
-        required=True,
-        help="scale factor; moduli are 3M and 6M",
-    )
-    p_tight.set_defaults(handler=_cmd_tightness)
-
-    p_runner = subparsers.add_parser(
-        "runner",
-        parents=[common],
-        help="time keeping two runners at distance >= 1/3 from the origin",
-    )
-    p_runner.add_argument(
-        "--speeds", required=True, metavar="M,N", help="two distinct positive speeds"
-    )
-    p_runner.set_defaults(handler=_cmd_runner)
-
+    for name, help_text, handler, arguments in _SUBCOMMANDS:
+        sub = subparsers.add_parser(name, help=help_text)
+        sub.add_argument("--json", action="store_true", help="emit one JSON record instead of text")
+        for flag, keywords in arguments:
+            sub.add_argument(flag, **keywords)
+        sub.set_defaults(handler=handler)
     return parser
 
 

@@ -200,6 +200,41 @@ def test_bound_arbitrary_never_exceeds_exact_count():
         assert bound_arbitrary(m, n, a.size, b.size).lower_bound <= exact_count(a, b)
 
 
+def extremal_pair(m, n, size_a, size_b):
+    """Sets of the given sizes laid out by the two extremal profiles, paired in reverse.
+
+    Class i mod g = gcd(m, n) holds P_a[i] members of A and P_b[g-1-i] of B,
+    each profile ascending, so the count is the reversed pairing of the two.
+    """
+    g = math.gcd(m, n)
+    profile_a = extremal_profile(size_a, m // g, g).values
+    profile_b = extremal_profile(size_b, n // g, g).values
+    a = ResidueSet(m, tuple(i + g * j for i in range(g) for j in range(profile_a[i])))
+    b = ResidueSet(n, tuple(i + g * j for i in range(g) for j in range(profile_b[g - 1 - i])))
+    return a, b
+
+
+def test_bound_arbitrary_is_attained_on_a_grid():
+    # the floor is the minimum, not just a lower bound: the extremal layout reaches it
+    for m in range(1, 17):
+        for n in range(1, 17):
+            for size_a in range(m + 1):
+                for size_b in range(n + 1):
+                    a, b = extremal_pair(m, n, size_a, size_b)
+                    assert (a.size, b.size) == (size_a, size_b)
+                    floor = bound_arbitrary(m, n, size_a, size_b).lower_bound
+                    assert exact_count(a, b) == floor, (m, n, size_a, size_b)
+
+
+@given(st.integers(1, 200), st.integers(1, 200), st.data())
+def test_bound_arbitrary_is_attained(m, n, data):
+    size_a = data.draw(st.integers(0, m))
+    size_b = data.draw(st.integers(0, n))
+    a, b = extremal_pair(m, n, size_a, size_b)
+    assert (a.size, b.size) == (size_a, size_b)
+    assert exact_count(a, b) == bound_arbitrary(m, n, size_a, size_b).lower_bound
+
+
 def test_count_between_rearrangement_bounds():
     # the exact count pairs the two per-class count vectors in some order,
     # so it sits between their reversed and aligned pairings

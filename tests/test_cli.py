@@ -301,6 +301,58 @@ def test_exit_code_matrix():
         assert code == expected, argv
 
 
+JSON_HELP = "emit one JSON record instead of text"
+
+
+# usage lines as argparse prints them on Python 3.11 at 80 columns; the rest of
+# the help text is checked only for each help string, since its layout varies
+@pytest.mark.parametrize(
+    "argv, usage, helps",
+    [
+        ((), "usage: crtcount [-h] {solve,count,bound,extremal,tightness,runner} ...", [
+            "solve a system of congruences",
+            "count common solutions of two residue collections",
+            "lower bound on the solution count from sizes alone",
+            "worst-case count profiles and their pairing sum",
+            "one-third-density interval pair with no common solution",
+            "time keeping two runners at distance >= 1/3 from the origin",
+        ]),
+        (("solve",), "usage: crtcount solve [-h] [--json] a:m [a:m ...]", [
+            JSON_HELP, "congruence x ≡ a (mod m)",
+        ]),
+        (("count",), "usage: crtcount count [-h] [--json] [--enumerate] m n A B", [
+            JSON_HELP, "first modulus", "second modulus",
+            "collection mod m: {r1,r2,...} or start+len",
+            "collection mod n: {r1,r2,...} or start+len",
+            "also list the solution residues",
+        ]),
+        (("bound",),
+         "usage: crtcount bound [-h] [--json] {arbitrary,interval} m n size_a size_b", [
+            JSON_HELP, "first modulus", "second modulus",
+            "size of the first collection", "size of the second collection",
+        ]),
+        (("extremal",),
+         "usage: crtcount extremal [-h] [--json] size_a cap_a size_b cap_b length",
+         [JSON_HELP]),
+        (("tightness",), "usage: crtcount tightness [-h] [--json] --M SCALE", [
+            JSON_HELP, "scale factor; moduli are 3M and 6M",
+        ]),
+        (("runner",), "usage: crtcount runner [-h] [--json] --speeds M,N", [
+            JSON_HELP, "two distinct positive speeds",
+        ]),
+    ],
+    ids=["crtcount", "solve", "count", "bound", "extremal", "tightness", "runner"],
+)
+def test_help_pins_usage_and_every_help_string(monkeypatch, argv, usage, helps):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = invoke(*argv, "--help")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == usage
+    flowed = " ".join(out.split())  # help strings may wrap at 80 columns
+    for text in helps:
+        assert text in flowed, text
+
+
 @pytest.mark.parametrize(
     "argv, name",
     [

@@ -187,6 +187,18 @@ MUTANTS = [
         " + residues.__all__ + runner.__all__",
         " + residues.__all__",
     ),
+    (
+        "parser table edits a help string",
+        "cli.py",
+        'help="also list the solution residues"',
+        'help="also list the solutions"',
+    ),
+    (
+        "parser table swaps a metavar",
+        "cli.py",
+        'metavar="M,N"',
+        'metavar="N,M"',
+    ),
 ]
 
 
