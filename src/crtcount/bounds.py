@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .congruence import _checked_bound, _shown, _Value, checked_mul
+from .congruence import INT64_MAX, _checked_bound, _shown, _Value, checked_mul
 from .residues import CyclicInterval, _within_cap, interval_block_pairs
 
 # Defined here but outside the API: the oracle rearrangement_bounds.
@@ -135,8 +135,10 @@ def extremal_sum(
     Each side is validated exactly as extremal_profile validates it, side a
     first. Raises OverflowLimitError when the sum leaves the 64-bit range.
     """
-    _check_profile(size_a, cap_a, length)
-    _check_profile(size_b, cap_b, length)
+    if not (cap_a >= 1 and cap_b >= 1 and length >= 1
+            and 0 <= size_a <= cap_a * length and 0 <= size_b <= cap_b * length):
+        _check_profile(size_a, cap_a, length)  # one of the two raises
+        _check_profile(size_b, cap_b, length)
     return _pairing_floor(size_a, cap_a, size_b, cap_b, length)
 
 
@@ -147,19 +149,29 @@ def _pairing_floor(
     filled_a, leftover_a = divmod(size_a, cap_a)
     filled_b, leftover_b = divmod(size_b, cap_b)
     span = filled_a + filled_b + 1
+    # tuple.__new__ builds the same BoundResult without its generated __new__
     if span < length:
-        return BoundResult(0, CASE_EMPTY)
+        return tuple.__new__(BoundResult, (0, CASE_EMPTY))
     if span == length:
-        return BoundResult(_checked_bound(leftover_a * leftover_b), CASE_BOUNDARY)
-    value = (
-        (span - length - 1) * cap_a * cap_b
-        + leftover_a * cap_b
-        + leftover_b * cap_a
-    )
-    return BoundResult(_checked_bound(value), CASE_OVERLAP)
+        value, tag = leftover_a * leftover_b, CASE_BOUNDARY
+    else:
+        value = (
+            (span - length - 1) * cap_a * cap_b
+            + leftover_a * cap_b
+            + leftover_b * cap_a
+        )
+        tag = CASE_OVERLAP
+    if value > INT64_MAX:
+        _checked_bound(value)
+    return tuple.__new__(BoundResult, (value, tag))
 
 
 def _check_sizes(m: int, n: int, size_a: int, size_b: int) -> None:
+    """Refuse non-positive moduli and sizes outside [0, modulus].
+
+    Callers test the passing case as one chained comparison and call this
+    only when it fails, so each message has this one owner.
+    """
     if m < 1 or n < 1:
         raise ValueError(f"moduli must be positive, got ({_shown(m)}, {_shown(n)})")
     if not 0 <= size_a <= m:
@@ -177,7 +189,8 @@ def bound_arbitrary(m: int, n: int, size_a: int, size_b: int) -> BoundResult:
     collections of these sizes has fewer solutions. Raises OverflowLimitError
     when the floor leaves the 64-bit range.
     """
-    _check_sizes(m, n, size_a, size_b)
+    if not (m >= 1 and n >= 1 and 0 <= size_a <= m and 0 <= size_b <= n):
+        _check_sizes(m, n, size_a, size_b)
     g = math.gcd(m, n)
     return _pairing_floor(size_a, m // g, size_b, n // g, g)
 
@@ -193,10 +206,14 @@ def bound_intervals(m: int, n: int, size_a: int, size_b: int) -> int:
     exactly that many at the worst relative shift. Raises OverflowLimitError
     when the floor leaves the 64-bit range.
     """
-    _check_sizes(m, n, size_a, size_b)
+    if not (m >= 1 and n >= 1 and 0 <= size_a <= m and 0 <= size_b <= n):
+        _check_sizes(m, n, size_a, size_b)
     g = math.gcd(m, n)
     blocks, rem_a, rem_b = interval_block_pairs(size_a, size_b, g)
-    return _checked_bound(blocks + max(0, rem_a + rem_b - g))
+    value = blocks + max(0, rem_a + rem_b - g)
+    if value > INT64_MAX:
+        _checked_bound(value)
+    return value
 
 
 def density_guarantee(m: int, n: int, size_a: int, size_b: int) -> bool:
@@ -207,7 +224,8 @@ def density_guarantee(m: int, n: int, size_a: int, size_b: int) -> bool:
     outside [0, modulus] as bound_intervals does, so whenever it returns True,
     bound_intervals(m, n, size_a, size_b) >= 1.
     """
-    _check_sizes(m, n, size_a, size_b)
+    if not (m >= 1 and n >= 1 and 0 <= size_a <= m and 0 <= size_b <= n):
+        _check_sizes(m, n, size_a, size_b)
     return m != n and 3 * size_a > m and 3 * size_b > n
 
 

@@ -9,7 +9,10 @@ goes to stderr as `error: <message>` or the record {"status": "error",
 "message": ...}. Exit status is 0 when the record's status is "ok", 1 when the
 system has no solution or the request is infeasible, and 2 on usage errors and
 overflow refusals. run can be called repeatedly in one process; every call
-reuses one parser, built on the first.
+reuses one parser, built on the first. A call naming a subcommand goes
+straight to that subcommand's parser; the full parser reads argv only when
+no subcommand is named or arguments are left over, so its usage and error
+text are printed as they always were.
 """
 
 from __future__ import annotations
@@ -227,7 +230,8 @@ _SUBCOMMANDS = (
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and each subcommand's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="crtcount",
         description=(
@@ -236,19 +240,27 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
+    by_name = {}
     for name, help_text, handler, arguments in _SUBCOMMANDS:
-        sub = subparsers.add_parser(name, help=help_text)
+        sub = by_name[name] = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--json", action="store_true", help="emit one JSON record instead of text")
         for flag, keywords in arguments:
             sub.add_argument(flag, **keywords)
         sub.set_defaults(handler=handler)
-    return parser
+    return parser, by_name
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv, dispatch, print the result or refusal, and return the exit status."""
+    parser, by_name = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        # the full parser would hand argv[1:] to this same subparser
+        left = True
+        if argv and argv[0] in by_name:
+            args, left = by_name[argv[0]].parse_known_args(argv[1:])
+        if left:  # no subcommand, or arguments left over: the full parser reports it
+            args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits on usage errors and --help
         return int(exc.code or 0)
     try:

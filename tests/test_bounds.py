@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crtcount import residues
+from crtcount import bounds, residues
 from crtcount.bounds import (
     CASE_BOUNDARY,
     CASE_EMPTY,
     CASE_OVERLAP,
     InfeasibleError,
+    _check_profile,
+    _check_sizes,
     bound_arbitrary,
     bound_intervals,
     density_guarantee,
@@ -376,3 +378,51 @@ def test_floors_outside_64_bits_are_refused():
     assert bound_intervals(m, n, m, n) == 2**63 - 1
     assert bound_arbitrary(m, n, m, n).lower_bound == 2**63 - 1
     assert extremal_sum(2**62, 2**62, 1, 1, 1) == (2**62, CASE_OVERLAP)
+
+
+def refusal(function, *args):
+    """The ValueError a call raises, as (type, message), or None when it raises none."""
+    try:
+        function(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    except OverflowLimitError:  # a floor past 64 bits, refused after validation
+        pass
+    return None
+
+
+# mostly small values, so the passing path is taken too, and some up to 2**70
+WIDE = st.one_of(st.integers(-2, 40), st.integers(-(2**70), 2**70))
+
+
+@given(WIDE, WIDE, WIDE, WIDE)
+def test_size_guards_refuse_exactly_as_check_sizes(m, n, size_a, size_b):
+    # the passing path is a chained comparison; its refusals must be _check_sizes'
+    expected = refusal(_check_sizes, m, n, size_a, size_b)
+    for function in (bound_arbitrary, bound_intervals, density_guarantee):
+        assert refusal(function, m, n, size_a, size_b) == expected, function.__name__
+
+
+@given(WIDE, WIDE, WIDE, WIDE, WIDE)
+def test_extremal_sum_refuses_exactly_as_check_profile(size_a, cap_a, size_b, cap_b, length):
+    expected = refusal(_check_profile, size_a, cap_a, length) or refusal(
+        _check_profile, size_b, cap_b, length
+    )
+    assert refusal(extremal_sum, size_a, cap_a, size_b, cap_b, length) == expected
+
+
+def test_valid_arguments_never_reach_the_refusal_checks(monkeypatch):
+    # the checks are for refusing; a call they would pass skips them entirely
+    def unexpected(*args):
+        raise AssertionError(f"refusal check called on {args}")
+
+    monkeypatch.setattr(bounds, "_check_sizes", unexpected)
+    monkeypatch.setattr(bounds, "_check_profile", unexpected)
+    for m in range(1, 13):
+        for n in range(1, 13):
+            for size_a in range(m + 1):
+                for size_b in range(n + 1):
+                    bound_arbitrary(m, n, size_a, size_b)
+                    bound_intervals(m, n, size_a, size_b)
+                    density_guarantee(m, n, size_a, size_b)
+                    extremal_sum(size_a, m, size_b, n, 1)

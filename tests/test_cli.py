@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from crtcount import residues
+from crtcount import cli, residues
 from crtcount.cli import parse_collection, run
 from crtcount.residues import CyclicInterval, ResidueSet
 
@@ -379,6 +379,70 @@ def test_no_exception_escapes_run_on_the_digest_argv():
     _, outcomes = cli_digest.digest(1)
     # the tallies pin every exit status; the hash would also pin argparse's help text
     assert outcomes == {"exit 0": 1824, "exit 1": 303, "exit 2": 5373}, outcomes
+
+
+VALID_ARGV = [
+    ("solve", "2:3", "3:5"),
+    ("count", "4", "6", "{0,1,2}", "1+3", "--enumerate"),
+    ("bound", "arbitrary", "4", "6", "1", "2"),
+    ("bound", "interval", "4", "6", "3", "5"),
+    ("extremal", "5", "2", "4", "3", "4"),
+    ("tightness", "--M", "2"),
+    ("runner", "--speeds", "3,7"),
+]
+
+
+# each valid call in text and --json, then calls the full parser must report:
+# leftover arguments, no or an unknown subcommand, help, and `--` as a value
+@pytest.mark.parametrize(
+    "argv",
+    VALID_ARGV
+    + [(*argv, "--json") for argv in VALID_ARGV]
+    + [
+        ("bound", "arbitrary", "4", "6", "1", "2", "3"),
+        ("count", "4", "6", "{0}", "{1}", "--bogus"),
+        (),
+        ("--help",),
+        ("--json",),
+        ("nonsense",),
+        ("count", "--help"),
+        ("tightness",),
+        ("solve", "--", "1:2"),
+        ("tightness", "--M=--"),
+    ],
+    ids=" ".join,
+)
+def test_subcommand_dispatch_prints_what_the_full_parser_prints(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    direct = invoke(*argv)
+    parser, _ = cli._build_parser()
+    # with no subcommand names to dispatch on, every call goes through parse_args
+    monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
+    assert invoke(*argv) == direct
+
+
+def test_leftover_arguments_get_the_top_level_usage():
+    code, out, err = invoke("count", "4", "6", "{0}", "{1}", "--bogus")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: crtcount [-h]")
+    assert err.endswith("crtcount: error: unrecognized arguments: --bogus\n")
+
+
+def test_valid_calls_skip_the_top_level_parser(monkeypatch):
+    parser, _ = cli._build_parser()
+    calls = []
+
+    def counted(argv):
+        calls.append(argv)
+        return type(parser).parse_args(parser, argv)
+
+    monkeypatch.setattr(parser, "parse_args", counted)
+    for argv in VALID_ARGV:
+        assert invoke(*argv)[0] == 0, argv
+        assert invoke(*argv, "--json")[0] == 0, argv
+    assert calls == []
+    assert invoke("nonsense")[0] == 2  # the fallback does reach it
+    assert calls == [["nonsense"]]
 
 
 CONGRUENCE_REFUSAL = "congruence {!r} is not of the form 'a:m'"

@@ -39,8 +39,8 @@ MUTANTS = [
     (
         "bound_intervals leftover overlap",
         "bounds.py",
-        "max(0, rem_a + rem_b - g))",
-        "max(0, rem_a + rem_b - g + 1))",
+        "value = blocks + max(0, rem_a + rem_b - g)\n",
+        "value = blocks + max(0, rem_a + rem_b - g + 1)\n",
     ),
     (
         "arc overlap past the top",
@@ -188,6 +188,18 @@ MUTANTS = [
         " + residues.__all__",
     ),
     (
+        "size guard sends a full set to the refusal check",
+        "bounds.py",
+        "0 <= size_a <= m and 0 <= size_b <= n):\n"
+        "        _check_sizes(m, n, size_a, size_b)\n"
+        "    g = math.gcd(m, n)\n"
+        "    return _pairing_floor(",
+        "0 <= size_a < m and 0 <= size_b <= n):\n"
+        "        _check_sizes(m, n, size_a, size_b)\n"
+        "    g = math.gcd(m, n)\n"
+        "    return _pairing_floor(",
+    ),
+    (
         "parser table edits a help string",
         "cli.py",
         'help="also list the solution residues"',
@@ -198,6 +210,12 @@ MUTANTS = [
         "cli.py",
         'metavar="M,N"',
         'metavar="N,M"',
+    ),
+    (
+        "dispatch drops the full-parser fallback",
+        "cli.py",
+        "        if left:",
+        "        if False:",
     ),
 ]
 
