@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .congruence import INT64_MAX, _checked_bound, _shown, _Value, checked_mul
+from .congruence import INT64_MAX, _checked_bound, _positive, _shown, _Value, checked_mul
 from .residues import CyclicInterval, _within_cap, interval_block_pairs
 
 # Defined here but outside the API: the oracle rearrangement_bounds.
@@ -82,10 +82,8 @@ class ExtremalProfile(_Value):
 
 def _check_profile(size: int, cap: int, length: int) -> None:
     """Refuse a size, cap and length that admit no sorted profile."""
-    if cap < 1:
-        raise ValueError(f"cap must be positive, got {_shown(cap)}")
-    if length < 1:
-        raise ValueError(f"length must be positive, got {_shown(length)}")
+    _positive(cap, "cap")
+    _positive(length, "length")
     if size < 0:
         raise ValueError(f"size must be non-negative, got {_shown(size)}")
     if size > cap * length:
@@ -238,8 +236,7 @@ def tightness_instance(scale: int) -> tuple[CyclicInterval, CyclicInterval]:
     third would force a solution, so these instances pin the guarantee's
     constant.
     """
-    if scale < 1:
-        raise ValueError(f"scale must be positive, got {_shown(scale)}")
+    _positive(scale, "scale")
     larger = checked_mul(6, scale)  # the larger modulus, also the lcm
     first = CyclicInterval(modulus=3 * scale, start=0, length=scale)
     second = CyclicInterval(modulus=larger, start=scale, length=2 * scale)

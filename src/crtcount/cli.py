@@ -31,7 +31,7 @@ from .bounds import (
     extremal_sum,
     tightness_instance,
 )
-from .congruence import CongruenceSystem, OverflowLimitError, _shown, solve
+from .congruence import CongruenceSystem, OverflowLimitError, _positive, _shown, solve
 from .residues import CyclicInterval, ResidueSet, enumerate_solutions, exact_count
 
 
@@ -42,8 +42,7 @@ def parse_collection(text: str, modulus: int) -> ResidueSet | CyclicInterval:
     normalization and lengths outside [0, modulus] are rejected with the
     offending token named.
     """
-    if modulus < 1:
-        raise ValueError(f"modulus must be positive, got {_shown(modulus)}")
+    _positive(modulus, "modulus")
     if text.startswith("{") and text.endswith("}"):
         body = text[1:-1].strip()
         seen: set[int] = set()
@@ -101,8 +100,10 @@ def _emit(json_mode: bool, record: dict, lines: list[str] | None, file: TextIO) 
     elif lines is None:
         for key, value in record.items():
             if key != "status":
-                text = " ".join(map(str, value)) if isinstance(value, (list, tuple)) else value
-                print(f"{key} = {text}", file=file)
+                if isinstance(value, (list, tuple)):
+                    # repr writes the entries one at a time; a join holds every entry's str at once
+                    value = repr(value)[1:-1].replace(",", "")
+                print(f"{key} = {value}", file=file)
     else:
         for line in lines:
             print(line, file=file)
@@ -231,7 +232,7 @@ _SUBCOMMANDS = (
 
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The full parser and each subcommand's own parser by name."""
+    """The full parser and argparse's own map from subcommand name to its parser."""
     parser = argparse.ArgumentParser(
         prog="crtcount",
         description=(
@@ -240,25 +241,24 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         ),
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-    by_name = {}
     for name, help_text, handler, arguments in _SUBCOMMANDS:
-        sub = by_name[name] = subparsers.add_parser(name, help=help_text)
+        sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--json", action="store_true", help="emit one JSON record instead of text")
         for flag, keywords in arguments:
             sub.add_argument(flag, **keywords)
         sub.set_defaults(handler=handler)
-    return parser, by_name
+    return parser, subparsers.choices
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv, dispatch, print the result or refusal, and return the exit status."""
-    parser, by_name = _build_parser()
+    parser, subparsers = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         # the full parser would hand argv[1:] to this same subparser
         left = True
-        if argv and argv[0] in by_name:
-            args, left = by_name[argv[0]].parse_known_args(argv[1:])
+        if argv and argv[0] in subparsers:
+            args, left = subparsers[argv[0]].parse_known_args(argv[1:])
         if left:  # no subcommand, or arguments left over: the full parser reports it
             args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits on usage errors and --help

@@ -46,12 +46,16 @@ def checked_mul(a: int, b: int) -> int:
     return product
 
 
-def _checked_bound(value: int, what: str = "bound") -> int:
-    """Return value unchanged, or refuse it when it passes the top of the 64-bit
-    range. Callers pass values that cannot fall below the range."""
+def _checked_bound(value: int, what: str = "bound") -> None:
+    """Only refuse, past INT64_MAX; callers pass values that cannot fall below the range."""
     if value > INT64_MAX:
         raise OverflowLimitError(f"{what} {_shown(value)} exceeds the 64-bit integer range")
-    return value
+
+
+def _positive(value: int, what: str) -> None:
+    """Refuse value < 1 as "<what> must be positive, got <value>"."""
+    if value < 1:
+        raise ValueError(f"{what} must be positive, got {_shown(value)}")
 
 
 class _Value:
@@ -98,8 +102,7 @@ class CongruenceSystem(_Value):
     def __init__(self, pairs: Iterable[tuple[int, int]]) -> None:
         items = []
         for residue, modulus in pairs:
-            if modulus < 1:
-                raise ValueError(f"modulus must be positive, got {_shown(modulus)}")
+            _positive(modulus, "modulus")
             items.append((residue % modulus, modulus))
         object.__setattr__(self, "congruences", tuple(items))
 
@@ -115,8 +118,7 @@ class SolutionClass(_Value):
     __slots__ = ("residue", "modulus")
 
     def __init__(self, residue: int, modulus: int) -> None:
-        if modulus < 1:
-            raise ValueError(f"modulus must be positive, got {_shown(modulus)}")
+        _positive(modulus, "modulus")
         if not 0 <= residue < modulus:
             raise ValueError(f"residue {_shown(residue)} out of range [0, {_shown(modulus)})")
         object.__setattr__(self, "residue", residue)
@@ -145,29 +147,17 @@ def solve(system: CongruenceSystem) -> SolutionClass | None:
     system solves to SolutionClass(0, 1). Returns the unique solution class
     modulo the lcm of all moduli, or None when some pair of congruences
     disagrees modulo the gcd of its moduli. Raises OverflowLimitError if the
-    lcm, or any modulus on its own, leaves the 64-bit range.
+    lcm, or any modulus on its own, leaves the 64-bit range. Each merge keeps
+    0 <= residue < modulus, since 0 <= t < step puts residue + modulus*t in [0, lcm).
     """
     residue, modulus = 0, 1
-    for congruence in system.congruences:
-        merged = _merge(residue, modulus, *congruence)
-        if merged is None:
+    for target, m2 in system.congruences:
+        g = math.gcd(modulus, m2)
+        if (target - residue) % g:
             return None
-        residue, modulus = merged
+        step = m2 // g
+        lcm = checked_mul(modulus, step)
+        # t solves residue + modulus*t ≡ target (mod m2); when step == 1, pow returns 0.
+        t = (target - residue) // g * pow(modulus // g, -1, step) % step
+        residue, modulus = residue + modulus * t, lcm
     return SolutionClass(residue, modulus)
-
-
-def _merge(a1: int, m1: int, a2: int, m2: int) -> tuple[int, int] | None:
-    """Combine x ≡ a1 (mod m1) and x ≡ a2 (mod m2) into one congruence, if possible.
-
-    Requires 0 <= a1 < m1: then 0 <= t < step puts a1 + m1*t in [0, m1*step).
-    """
-    g = math.gcd(m1, m2)
-    if (a2 - a1) % g:
-        return None
-    step = m2 // g
-    combined = checked_mul(m1, step)
-    # coeff * (m1 // g) ≡ 1 (mod step), so this t solves a1 + m1*t ≡ a2 (mod m2).
-    # When step == 1, pow returns 0 and t == 0, which is right.
-    coeff = pow(m1 // g, -1, step)
-    t = (a2 - a1) // g * coeff % step
-    return a1 + m1 * t, combined

@@ -8,7 +8,7 @@ from collections import Counter
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Union
 
-from .congruence import SolutionClass, _shown, _solution_classes, _Value, checked_mul
+from .congruence import SolutionClass, _positive, _shown, _solution_classes, _Value, checked_mul
 
 # Defined here but outside the API: the oracle partition_counts.
 __all__ = [
@@ -48,8 +48,7 @@ class ResidueSet(_Value):
     __slots__ = ("modulus", "members")
 
     def __init__(self, modulus: int, members: Iterable[int]) -> None:
-        if modulus < 1:
-            raise ValueError(f"modulus must be positive, got {_shown(modulus)}")
+        _positive(modulus, "modulus")
         ordered = tuple(sorted(members))
         for residue in ordered:
             if not 0 <= residue < modulus:
@@ -84,8 +83,7 @@ class CyclicInterval(_Value):
     __slots__ = ("modulus", "start", "length")
 
     def __init__(self, modulus: int, start: int, length: int) -> None:
-        if modulus < 1:
-            raise ValueError(f"modulus must be positive, got {_shown(modulus)}")
+        _positive(modulus, "modulus")
         if not 0 <= length <= modulus:
             raise ValueError(f"length {_shown(length)} out of range [0, {_shown(modulus)}]")
         object.__setattr__(self, "modulus", modulus)
@@ -119,8 +117,7 @@ def partition_counts(collection: ResidueCollection, divisor: int) -> tuple[int, 
     before building anything, when the divisor or the collection's size
     exceeds ENUMERATION_CAP, read at call time.
     """
-    if divisor < 1:
-        raise ValueError(f"divisor must be positive, got {_shown(divisor)}")
+    _positive(divisor, "divisor")
     if collection.modulus % divisor:
         raise ValueError(
             f"divisor {_shown(divisor)} does not divide modulus {_shown(collection.modulus)}"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .congruence import _shown, _Value, checked_mul
+from .congruence import _positive, _shown, _Value, checked_mul
 from .residues import CyclicInterval
 
 # Outside the API, as oracles: DISTANT_THRESHOLD, circle_distance, distant_interval.
@@ -50,8 +50,7 @@ def distant_interval(speed: int, denominator: int, runners: int = 2) -> CyclicIn
     That is a single cyclic interval of (runners-1)*q/(runners+1) + 1
     residues modulo q.
     """
-    if speed < 1:
-        raise ValueError(f"speed must be positive, got {_shown(speed)}")
+    _positive(speed, "speed")
     if runners < 2:
         raise ValueError(f"runners must be at least 2, got {_shown(runners)}")
     factor = (runners + 1) * speed

@@ -95,6 +95,28 @@ def test_traced_attributes_exist(monkeypatch):
         assert callable(getattr(module, attr, None)), qualname
 
 
+def test_positivity_refusal_has_one_owner():
+    # "<what> must be positive, got <value>" is formatted in congruence._positive
+    # alone; only the two pair-shaped messages spell the phrase out themselves.
+    found = set()
+    for path in Path(crtcount.__file__).resolve().parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.JoinedStr) and "must be positive, got" in ast.unparse(node):
+                owner = node
+                while owner in parents and not isinstance(owner, ast.FunctionDef):
+                    owner = parents[owner]
+                head = node.values[0]
+                text = head.value if isinstance(head, ast.Constant) else ""
+                found.add((path.stem, getattr(owner, "name", None), text))
+    assert found == {
+        ("congruence", "_positive", ""),
+        ("bounds", "_check_sizes", "moduli must be positive, got ("),
+        ("runner", "__init__", "speeds must be positive, got ("),
+    }
+
+
 def in_fresh_interpreter(code, *args):
     """Run code in a fresh `python -I` that finds crtcount where this test
     process did, after `import sys`, and return the literal it prints."""

@@ -139,6 +139,20 @@ def test_extremal_report():
     }
 
 
+def test_one_entry_lists_print_without_a_comma():
+    # a one-entry tuple's repr is "(3,)": the text line must still read "3"
+    assert invoke("extremal", "3", "3", "0", "1", "1") == (
+        0,
+        "profile_a = 3\nprofile_b = 0\nbound = 0\ncase = overlap\n",
+        "",
+    )
+    assert invoke("count", "4", "6", "{1}", "{1}", "--enumerate") == (
+        0,
+        "count = 1\nmodulus = 12\nsolutions = 1\n",
+        "",
+    )
+
+
 def test_tightness_report():
     code, out, _ = invoke("tightness", "--M", "1")
     assert code == 0

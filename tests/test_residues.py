@@ -22,6 +22,8 @@ from crtcount.residues import (
     partition_counts,
 )
 
+from brute_force import scan_solutions
+
 
 def test_residue_set_sorts_members():
     s = ResidueSet(10, (7, 1, 4))
@@ -206,12 +208,6 @@ def test_count_equals_enumeration_mixed_random():
         g = math.gcd(m, n)
         if g == 1:
             assert exact_count(a, b) == a.size * b.size
-
-
-def scan_solutions(a, b):
-    """Brute-force oracle: every x in [0, lcm) whose classes lie in both collections."""
-    span = a.modulus // math.gcd(a.modulus, b.modulus) * b.modulus
-    return [x for x in range(span) if x % a.modulus in a and x % b.modulus in b]
 
 
 @st.composite

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from crtcount import congruence, runner
 from crtcount.congruence import INT64_MAX, OverflowLimitError
-from crtcount.congruence import CongruenceSystem, solve
 from crtcount.residues import CyclicInterval
 from crtcount.runner import (
     DISTANT_THRESHOLD,
@@ -18,6 +17,8 @@ from crtcount.runner import (
     distant_interval,
     two_runner_witness,
 )
+
+from brute_force import crt_pairing_witness, earliest_grid_time
 
 
 def test_circle_distance_values():
@@ -179,40 +180,6 @@ def test_witness_distances_match_positions():
         w = two_runner_witness(RunnerPair(m, n))
         assert w.distances == (circle_distance(m * w.time), circle_distance(n * w.time))
         assert min(w.distances) >= DISTANT_THRESHOLD
-
-
-def earliest_grid_time(m, n):
-    """Scan x = 0, 1, ... for the first grid point keeping both runners far.
-
-    Runner v is at least 1/3 from the origin at t = x / D exactly when
-    (v*x mod D) / D lies in [1/3, 2/3], checked here in integers.
-    """
-    denominator = 3 * m * n
-    for x in range(denominator):
-        if all(
-            denominator <= 3 * (v * x % denominator) <= 2 * denominator for v in (m, n)
-        ):
-            return Fraction(x, denominator)
-    raise AssertionError(f"no distant grid time for speeds ({m}, {n})")
-
-
-def crt_pairing_witness(m, n):
-    """Reference search: solve every residue pair from the two arcs, keep the least."""
-    denominator = 3 * m * n
-    interval_m = distant_interval(m, denominator)
-    interval_n = distant_interval(n, denominator)
-    best = None
-    for residue_m in interval_m:
-        for residue_n in interval_n:
-            merged = solve(
-                CongruenceSystem.from_pairs(
-                    [(residue_m, interval_m.modulus), (residue_n, interval_n.modulus)]
-                )
-            )
-            if merged is not None and (best is None or merged.residue < best):
-                best = merged.residue
-    time = Fraction(best, denominator)
-    return DistantWitness(time, (circle_distance(m * time), circle_distance(n * time)))
 
 
 @given(st.integers(1, 80), st.integers(1, 80))

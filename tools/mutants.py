@@ -217,6 +217,24 @@ MUTANTS = [
         "        if left:",
         "        if False:",
     ),
+    (
+        "solve lifts t modulo m2, not the step",
+        "congruence.py",
+        "pow(modulus // g, -1, step) % step",
+        "pow(modulus // g, -1, step) % m2",
+    ),
+    (
+        "positivity refusal lets zero through",
+        "congruence.py",
+        "    if value < 1:\n",
+        "    if value < 0:\n",
+    ),
+    (
+        "text output keeps the list commas",
+        "cli.py",
+        'repr(value)[1:-1].replace(",", "")',
+        "repr(value)[1:-1]",
+    ),
 ]
 
 
