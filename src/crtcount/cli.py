@@ -32,7 +32,7 @@ from .bounds import (
     tightness_instance,
 )
 from .congruence import CongruenceSystem, OverflowLimitError, _positive, _shown, solve
-from .residues import CyclicInterval, ResidueSet, enumerate_solutions, exact_count
+from .residues import CyclicInterval, ResidueSet, _solutions, exact_count
 
 
 def parse_collection(text: str, modulus: int) -> ResidueSet | CyclicInterval:
@@ -129,8 +129,7 @@ def _cmd_count(args: argparse.Namespace) -> tuple[dict, None]:
     how_many = exact_count(first, second)
     record: dict = {"status": "ok", "count": how_many, "modulus": math.lcm(args.m, args.n)}
     if args.enumerate:
-        solutions = enumerate_solutions(first, second)
-        record["solutions"] = [cls.residue for cls in solutions]
+        record["solutions"] = _solutions(first, second)[0]
     return record, None
 
 

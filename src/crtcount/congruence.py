@@ -140,6 +140,13 @@ def _solution_classes(residues: list[int], modulus: int) -> list[SolutionClass]:
     return classes
 
 
+def _lift(m: int, n: int) -> tuple[int, int]:
+    """(g, k) with g = gcd(m, n), k ≡ 0 (mod m/g) and k ≡ 1 (mod n/g): for α ≡ β (mod g),
+    α + k*(β - α) is the one class mod lcm(m, n) that is ≡ α (mod m) and ≡ β (mod n)."""
+    g = math.gcd(m, n)
+    return g, m // g * pow(m // g, -1, n // g)
+
+
 def solve(system: CongruenceSystem) -> SolutionClass | None:
     """Solve a congruence system by iterated pairwise merging.
 
@@ -147,17 +154,14 @@ def solve(system: CongruenceSystem) -> SolutionClass | None:
     system solves to SolutionClass(0, 1). Returns the unique solution class
     modulo the lcm of all moduli, or None when some pair of congruences
     disagrees modulo the gcd of its moduli. Raises OverflowLimitError if the
-    lcm, or any modulus on its own, leaves the 64-bit range. Each merge keeps
-    0 <= residue < modulus, since 0 <= t < step puts residue + modulus*t in [0, lcm).
+    lcm, or any modulus on its own, leaves the 64-bit range. Each merge with
+    x ≡ target (mod m2) is (residue + k*(target - residue)) % lcm, k from _lift.
     """
     residue, modulus = 0, 1
     for target, m2 in system.congruences:
-        g = math.gcd(modulus, m2)
+        g, k = _lift(modulus, m2)
         if (target - residue) % g:
             return None
-        step = m2 // g
-        lcm = checked_mul(modulus, step)
-        # t solves residue + modulus*t ≡ target (mod m2); when step == 1, pow returns 0.
-        t = (target - residue) // g * pow(modulus // g, -1, step) % step
-        residue, modulus = residue + modulus * t, lcm
+        lcm = checked_mul(modulus, m2 // g)
+        residue, modulus = (residue + k * (target - residue)) % lcm, lcm
     return SolutionClass(residue, modulus)

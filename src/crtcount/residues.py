@@ -8,7 +8,8 @@ from collections import Counter
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Union
 
-from .congruence import SolutionClass, _positive, _shown, _solution_classes, _Value, checked_mul
+from .congruence import SolutionClass, _lift, _positive, _shown, _solution_classes, _Value
+from .congruence import checked_mul
 
 # Defined here but outside the API: the oracle partition_counts.
 __all__ = [
@@ -209,34 +210,30 @@ def _members_by_class(
     return lambda c: buckets.get(c, ())
 
 
-def enumerate_solutions(a: ResidueCollection, b: ResidueCollection) -> list[SolutionClass]:
-    """Every common solution class modulo lcm(m, n), in increasing order.
+def _solutions(a: ResidueCollection, b: ResidueCollection) -> tuple[list[int], int]:
+    """Sorted residues of every common solution class, and their modulus lcm(m, n).
 
-    Raises EnumerationCapError when lcm(m, n) exceeds ENUMERATION_CAP, read
-    at call time, before anything is built. The problem is symmetric, so let a
-    be the smaller collection. Each member α of a is looked up against the
-    members β of b in its class mod g = gcd(m, n), and each such pair lifts by
-    CRT to x = α + m*t with t ≡ (β - α)/g * (m/g)^-1 (mod n/g), which depends
-    on β only mod n. Cost O(min(|a|, |b|) + s log s) for s solutions, plus
-    O(|b|) to bucket b when it is an explicit set; [0, lcm) is never scanned.
-
-    Every lifted x lies in [0, lcm): 0 <= α < m and 0 <= t < n/g give
-    0 <= α + m*t < m*n/g. So the classes are built without SolutionClass's
-    per-object range checks, which could never fire.
+    Raises EnumerationCapError when lcm(m, n) exceeds ENUMERATION_CAP, read at
+    call time, before anything is built. Let a be the smaller collection (a swap
+    turns k into 1 - k). Each member α of a meets the members β of b in its class
+    mod g = gcd(m, n), and each pair lifts to (α + k*(β - α)) % lcm, k from _lift,
+    also for β past the top of b's range. Cost O(min(|a|, |b|) + s log s) for s
+    solutions, plus O(|b|) to bucket a set b; [0, lcm) is never scanned.
     """
-    g = math.gcd(a.modulus, b.modulus)
+    g, k = _lift(a.modulus, b.modulus)
     span = checked_mul(a.modulus // g, b.modulus)
     _within_cap(span, "scan range {}", span)
     if a.size > b.size:
-        a, b = b, a
-    mod_a = a.modulus
-    step = b.modulus // g
-    inverse = pow(mod_a // g, -1, step)
+        a, b, k = b, a, 1 - k
     partners = _members_by_class(b, g)
-    found = [
-        alpha + mod_a * ((beta - alpha) // g * inverse % step)
-        for alpha in a
-        for beta in partners(alpha % g)
-    ]
+    found = [(alpha + k * (beta - alpha)) % span for alpha in a for beta in partners(alpha % g)]
     found.sort()
-    return _solution_classes(found, span)
+    return found, span
+
+
+def enumerate_solutions(a: ResidueCollection, b: ResidueCollection) -> list[SolutionClass]:
+    """Every common solution class modulo lcm(m, n), in increasing order: the
+    residues of _solutions, each the CRT lift α + k*(β - α) of a pair α ≡ β
+    (mod g), with k ≡ 0 (mod m/g) and k ≡ 1 (mod n/g), already reduced into
+    [0, lcm), so the classes skip SolutionClass's range checks."""
+    return _solution_classes(*_solutions(a, b))

@@ -117,6 +117,30 @@ def test_positivity_refusal_has_one_owner():
     }
 
 
+def test_modular_inverse_has_one_owner():
+    # pow(x, -1, n) is called in congruence._lift alone, and solve and the
+    # enumeration take the CRT lift's coefficient from it.
+    found = set()
+    for path in Path(crtcount.__file__).resolve().parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            called = ast.unparse(node.func)
+            inverse = called == "pow" and [ast.unparse(arg) for arg in node.args[1:2]] == ["-1"]
+            if inverse or called == "_lift":
+                owner = node
+                while owner in parents and not isinstance(owner, ast.FunctionDef):
+                    owner = parents[owner]
+                found.add((called, path.stem, getattr(owner, "name", None)))
+    assert found == {
+        ("pow", "congruence", "_lift"),
+        ("_lift", "congruence", "solve"),
+        ("_lift", "residues", "_solutions"),
+    }
+
+
 def in_fresh_interpreter(code, *args):
     """Run code in a fresh `python -I` that finds crtcount where this test
     process did, after `import sys`, and return the literal it prints."""

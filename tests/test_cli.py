@@ -10,6 +10,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crtcount import cli, residues
 from crtcount.cli import parse_collection, run
@@ -107,6 +109,25 @@ def test_count_json_round_trip():
         "solutions": [0, 1, 2, 6, 8],
     }
     assert len(record["solutions"]) == record["count"]
+
+
+@st.composite
+def collection_tokens(draw):
+    """A modulus up to 40 and a set or interval token for it."""
+    m = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        members = draw(st.lists(st.integers(0, m - 1), unique=True, max_size=m))
+        return m, "{" + ",".join(map(str, members)) + "}"
+    return m, f"{draw(st.integers(-m, 2 * m))}+{draw(st.integers(0, m))}"
+
+
+@given(collection_tokens(), collection_tokens())
+def test_count_enumerate_lists_the_library_classes(first, second):
+    (m, text_a), (n, text_b) = first, second
+    code, out, _ = invoke("count", str(m), str(n), "--enumerate", "--json", "--", text_a, text_b)
+    a, b = parse_collection(text_a, m), parse_collection(text_b, n)
+    assert code == 0
+    assert json.loads(out)["solutions"] == [c.residue for c in residues.enumerate_solutions(a, b)]
 
 
 def test_bound_arbitrary_report():

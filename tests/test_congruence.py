@@ -24,6 +24,7 @@ from crtcount.congruence import (
     CongruenceSystem,
     OverflowLimitError,
     SolutionClass,
+    _lift,
     checked_mul,
     solve,
 )
@@ -198,6 +199,12 @@ def test_lone_congruence_modulus_guarded():
         solve(CongruenceSystem.from_pairs([(3, 2**63)]))
 
 
+def test_incompatible_pair_is_refused_before_its_lcm_is_guarded():
+    # gcd 2 splits residues 0 and 1, so solve answers None before it forms the
+    # lcm, about 2**79, which checked_mul would refuse
+    assert solve(CongruenceSystem.from_pairs([(0, 2**40), (1, 2**40 + 2)])) is None
+
+
 def test_solve_overflow_refused():
     # coprime moduli whose lcm exceeds the 64-bit range
     big = CongruenceSystem.from_pairs([(0, 2**32 - 1), (1, 2**32)])
@@ -244,6 +251,20 @@ def test_solution_satisfies_every_congruence(pairs):
         congruences = system.congruences
         assert all(found.residue % m == r for r, m in congruences)
         assert all((found.residue + found.modulus) % m == r for r, m in congruences)
+
+
+moduli_to_2_62 = st.integers(1, 2**62)
+
+
+@given(moduli_to_2_62, moduli_to_2_62, st.integers(1, 2**20))
+def test_lift_coefficient_is_zero_mod_m_over_g_and_one_mod_n_over_g(m, n, factor):
+    g, k = _lift(m, n)
+    assert g == math.gcd(m, n)
+    assert k % (m // g) == 0 and k % (n // g) == 1 % (n // g)
+    assert 0 <= k < (m // g) * (n // g)
+    # one modulus dividing the other: n | m leaves k == 0, m | n leaves k == 1 unless equal
+    assert _lift(m * factor, m) == (m, 0)
+    assert _lift(m, m * factor) == (m, 1 % factor)
 
 
 def test_solve_random_large_moduli():

@@ -231,6 +231,8 @@ SPARSE, EVENS = ResidueSet(12, (0, 5, 7, 11)), ResidueSet(18, tuple(range(0, 18,
 @example(SPARSE, WRAP)
 @example(ARC, EVENS)
 @example(SPARSE, EVENS)
+@example(ResidueSet(12, (0, 5)), CyclicInterval(6, 1, 4))  # the partner's modulus divides
+@example(CyclicInterval(6, 4, 3), EVENS)  # the walked modulus divides the partner's
 def test_closed_forms_match_scan(a, b):
     for first, second in ((a, b), (b, a)):
         expected = scan_solutions(first, second)

@@ -218,10 +218,28 @@ MUTANTS = [
         "        if False:",
     ),
     (
-        "solve lifts t modulo m2, not the step",
+        "lift inverts modulo n, not n/g",
         "congruence.py",
-        "pow(modulus // g, -1, step) % step",
-        "pow(modulus // g, -1, step) % m2",
+        "pow(m // g, -1, n // g)",
+        "pow(m // g, -1, n)",
+    ),
+    (
+        "solve reduces the lift modulo m2, not the lcm",
+        "congruence.py",
+        "(residue + k * (target - residue)) % lcm",
+        "(residue + k * (target - residue)) % m2",
+    ),
+    (
+        "enumeration keeps k when it swaps the collections",
+        "residues.py",
+        "a, b, k = b, a, 1 - k",
+        "a, b, k = b, a, k",
+    ),
+    (
+        "enumeration leaves the lift unreduced",
+        "residues.py",
+        "(alpha + k * (beta - alpha)) % span for",
+        "alpha + k * (beta - alpha) for",
     ),
     (
         "positivity refusal lets zero through",
