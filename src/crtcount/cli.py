@@ -9,10 +9,10 @@ goes to stderr as `error: <message>` or the record {"status": "error",
 "message": ...}. Exit status is 0 when the record's status is "ok", 1 when the
 system has no solution or the request is infeasible, and 2 on usage errors and
 overflow refusals. run can be called repeatedly in one process; every call
-reuses one parser, built on the first. A call naming a subcommand goes
-straight to that subcommand's parser; the full parser reads argv only when
-no subcommand is named or arguments are left over, so its usage and error
-text are printed as they always were.
+reuses one parser, built on the first with a spec per subcommand read off the
+same rows. A call naming a subcommand in its plain shape (see _plain) is read
+straight from that spec; help, usage errors and unusual spellings go to the
+full parser, which alone prints usage and error text.
 """
 
 from __future__ import annotations
@@ -229,9 +229,58 @@ _SUBCOMMANDS = (
 )
 
 
+def _value(action: argparse.Action, token: str):
+    """token converted and checked as argparse would, refused when it starts with "-"."""
+    value = token if action.type is None else action.type(token)
+    if token[:1] == "-" or action.choices is not None and value not in action.choices:
+        raise ValueError(token)
+    return value
+
+
+def _plain(spec: tuple, tokens: list[str]) -> argparse.Namespace | None:
+    """The Namespace the subparser returns for tokens in their plain shape, else None.
+
+    Plain: each token starting with "-" is one of the row's option strings, a
+    value-taking option's value follows it, the other tokens fill the
+    positionals in order (an nargs="+" one from one unbroken run), every value
+    converts and every required option is given. argparse reads anything else.
+    """
+    defaults, options, positionals = spec
+    values = dict(defaults)
+    seen, words, runs, in_run = set(), [], 0, False
+    tokens = iter(tokens)
+    try:
+        for token in tokens:
+            if token[:1] != "-":
+                runs += not in_run
+                in_run = True
+                words.append(token)
+                continue
+            action = options[token]  # KeyError: not one of the row's option strings
+            in_run = False
+            seen.add(action)
+            if action.nargs == 0:  # a store_true flag
+                values[action.dest] = action.const
+            else:  # a missing value reads as "-", which _value refuses
+                values[action.dest] = _value(action, next(tokens, "-"))
+        for action in positionals:
+            if action.nargs != "+":
+                values[action.dest] = _value(action, words.pop(0))  # IndexError: too few
+            elif runs > 1 or not words:  # it takes every remaining word, from one run
+                return None
+            else:
+                values[action.dest] = [_value(action, word) for word in words]
+                words = []
+    except (LookupError, ValueError):
+        return None
+    if words or any(a.required and a not in seen for a in options.values()):
+        return None
+    return argparse.Namespace(**values)
+
+
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The full parser and argparse's own map from subcommand name to its parser."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """The full parser, and each subcommand's spec for _plain, read off the same rows."""
     parser = argparse.ArgumentParser(
         prog="crtcount",
         description=(
@@ -240,34 +289,36 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         ),
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
+    specs = {}
     for name, help_text, handler, arguments in _SUBCOMMANDS:
         sub = subparsers.add_parser(name, help=help_text)
-        sub.add_argument("--json", action="store_true", help="emit one JSON record instead of text")
-        for flag, keywords in arguments:
-            sub.add_argument(flag, **keywords)
+        actions = [sub.add_argument("--json", action="store_true",
+                                    help="emit one JSON record instead of text")]
+        actions += [sub.add_argument(flag, **keywords) for flag, keywords in arguments]
         sub.set_defaults(handler=handler)
-    return parser, subparsers.choices
+        specs[name] = (
+            {action.dest: action.default for action in actions} | {"handler": handler},
+            {flag: action for action in actions for flag in action.option_strings},
+            [action for action in actions if not action.option_strings],
+        )
+    return parser, specs
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv, dispatch, print the result or refusal, and return the exit status."""
-    parser, subparsers = _build_parser()
+    parser, specs = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain(specs[argv[0]], argv[1:]) if argv and argv[0] in specs else None
     try:
-        # the full parser would hand argv[1:] to this same subparser
-        left = True
-        if argv and argv[0] in subparsers:
-            args, left = subparsers[argv[0]].parse_known_args(argv[1:])
-        if left:  # no subcommand, or arguments left over: the full parser reports it
+        if args is None:  # help, usage errors and unusual spellings: argparse reads argv
             args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits on usage errors and --help
-        return int(exc.code or 0)
-    try:
-        # argparse hands a `--` given as a value (--M=--, or a second `--`) over as []
-        if empty := [name for name, value in vars(args).items() if value == []]:
-            raise ValueError(f"argument {empty[0]}: invalid value '--'")
+            # argparse hands a `--` given as a value (--M=--, or a second `--`) over as []
+            if empty := [name for name, value in vars(args).items() if value == []]:
+                raise ValueError(f"argument {empty[0]}: invalid value '--'")
         record, lines = args.handler(args)
         code, file = (0 if record["status"] == "ok" else 1), sys.stdout
+    except SystemExit as exc:  # argparse exits on usage errors and --help
+        return int(exc.code or 0)
     except (OverflowLimitError, ValueError) as exc:  # InfeasibleError is a ValueError
         record, lines = {"status": "error", "message": str(exc)}, [f"error: {exc}"]
         code, file = (1 if isinstance(exc, InfeasibleError) else 2), sys.stderr

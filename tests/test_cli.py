@@ -1,5 +1,6 @@
 """Unit tests for argument parsing, report formats, and exit codes."""
 
+import argparse
 import ast
 import importlib.util
 import io
@@ -464,20 +465,143 @@ def test_leftover_arguments_get_the_top_level_usage():
 
 
 def test_valid_calls_skip_the_top_level_parser(monkeypatch):
-    parser, _ = cli._build_parser()
     calls = []
+    reference = argparse.ArgumentParser.parse_known_args
 
-    def counted(argv):
-        calls.append(argv)
-        return type(parser).parse_args(parser, argv)
+    def counted(self, args=None, namespace=None):
+        calls.append((self.prog, args))
+        return reference(self, args, namespace)
 
-    monkeypatch.setattr(parser, "parse_args", counted)
+    # parse_args goes through parse_known_args, on the full parser and on a subparser
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
     for argv in VALID_ARGV:
         assert invoke(*argv)[0] == 0, argv
         assert invoke(*argv, "--json")[0] == 0, argv
     assert calls == []
-    assert invoke("nonsense")[0] == 2  # the fallback does reach it
-    assert calls == [["nonsense"]]
+    # an unknown subcommand, a spelling the reader leaves to argparse, and a
+    # broken nargs="+" run (argparse's "unrecognized arguments") reach it once each
+    fallbacks = [["nonsense"], ["tightness", "--M=5"], ["solve", "1:2", "--json", "3:4"]]
+    for argv, code in zip(fallbacks, (2, 0, 2)):
+        assert invoke(*argv)[0] == code, argv
+    assert [args for prog, args in calls if prog == "crtcount"] == fallbacks
+    assert [prog for prog, _ in calls if prog != "crtcount"] == [
+        "crtcount tightness", "crtcount solve"
+    ]
+
+
+def _subparser(name):
+    parser, _ = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subparsers.choices[name]
+
+
+def _agrees_with_argparse(name, tokens):
+    """Whether _plain reads tokens; if it does, it must read them as the subparser does."""
+    read = cli._plain(cli._build_parser()[1][name], list(tokens))
+    if read is not None:
+        with redirect_stdout(io.StringIO()), redirect_stderr(err := io.StringIO()):
+            try:
+                expected = _subparser(name).parse_known_args(list(tokens))
+            except SystemExit:
+                pytest.fail(f"{name} {tokens}: _plain read {read}, argparse: {err.getvalue()}")
+        assert (read, []) == expected, (name, tokens)
+    return read is not None
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV, ids=" ".join)
+def test_plain_reader_reads_every_valid_call(argv):
+    name, *tokens = argv
+    assert _agrees_with_argparse(name, tokens)
+    assert _agrees_with_argparse(name, [*tokens, "--json"])
+    assert _agrees_with_argparse(name, ["--json", *tokens])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("runner", "--speeds", "--json"),  # an option value starting with "-"
+        ("runner", "--speeds"),
+        ("tightness", "--M", "-5"),
+        ("solve", "1:2", "--json", "3:4"),  # a broken nargs="+" run
+        ("solve",),
+        ("bound", "middling", "4", "6", "1", "2"),  # out of choices
+        ("bound", "arbitrary", "4", "6", "1", "x"),
+        ("count", "4", "6", "{0}", "-1+2"),
+        ("count", "4", "6", "{0}"),
+        ("count", "4", "6", "{0}", "{1}", "{2}"),
+        ("tightness", "--json"),  # a required option missing
+        ("runner",),
+        ("tightness", "--M=5"),
+        ("tightness", "--M", "2", "--"),
+        ("solve", "--", "1:2"),
+        ("count", "-h"),
+        ("count", "4", "6", "{0}", "{1}", "--enum"),
+        ("extremal", "1", "1", "1", "1", "9" * 4301),  # past int()'s digit limit
+    ],
+    ids=lambda argv: " ".join(argv)[:40],
+)
+def test_plain_reader_leaves_other_shapes_to_argparse(argv):
+    name, *tokens = argv
+    assert cli._plain(cli._build_parser()[1][name], tokens) is None
+
+
+def _texts(ints, modes):
+    return {
+        "int": ints,
+        "collection": st.one_of(
+            st.lists(ints, max_size=3).map(lambda r: "{" + ",".join(r) + "}"),
+            st.builds("{}+{}".format, ints, ints),
+        ),
+        "mode": st.sampled_from(modes),
+        "congruence": st.builds("{}:{}".format, ints, ints),
+        "speeds": st.builds("{},{}".format, ints, ints),
+    }
+
+
+PLAIN_TEXT = _texts(st.integers(0, 2**64).map(str), ["arbitrary", "interval"])
+ANY_TEXT = _texts(
+    st.one_of(
+        st.integers(-3, 40).map(str),
+        st.integers(-(2**64), 2**64).map(str),
+        st.sampled_from([str(2**63), "9" * 4301]),  # 4301 digits: past int()'s limit
+    ),
+    ["arbitrary", "interval", "middling", "Arbitrary", "-1"],
+)
+POSITIONALS = {
+    "solve": ["congruence", "congruence", "congruence"],
+    "count": ["int", "int", "collection", "collection"],
+    "bound": ["mode", "int", "int", "int", "int"],
+    "extremal": ["int"] * 5,
+    "tightness": [],
+    "runner": [],
+}
+OPTIONS = {"count": [["--enumerate"]], "tightness": [["--M", "int"]], "runner": [["--speeds", "speeds"]]}
+NOISE = ["--", "-h", "--help", "--M=3", "--speeds=1,2", "-5", "", "1 2", "{0, 1}", "--js",
+         "--M", "--speeds", "--enumerate", "--json", "arbitrary", "9" * 4301]
+
+
+@st.composite
+def _tokens(draw, name):
+    """A row's tokens: its positionals in order and its flags anywhere; when
+    wild, also bad values, dropped positionals, noise tokens and any order."""
+    wild = draw(st.booleans())
+    texts = ANY_TEXT if wild else PLAIN_TEXT
+    tokens = [draw(texts[kind]) for kind in POSITIONALS[name]]
+    groups = [["--json"], *OPTIONS.get(name, [])]
+    if wild:
+        tokens = tokens[: draw(st.integers(0, len(tokens)))]
+        groups += draw(st.lists(st.sampled_from(NOISE).map(lambda token: [token]), max_size=3))
+    for flag, *kinds in groups:
+        if draw(st.booleans()) or flag in ("--M", "--speeds") and not wild:
+            at = draw(st.integers(0, len(tokens)))
+            tokens[at:at] = [flag, *(draw(texts[kind]) for kind in kinds)]
+    return draw(st.permutations(tokens)) if wild and draw(st.booleans()) else tokens
+
+
+@pytest.mark.parametrize("name", sorted(POSITIONALS))
+@given(data=st.data())
+def test_plain_reader_agrees_with_the_subparser(name, data):
+    _agrees_with_argparse(name, data.draw(_tokens(name)))
 
 
 CONGRUENCE_REFUSAL = "congruence {!r} is not of the form 'a:m'"

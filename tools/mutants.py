@@ -212,10 +212,34 @@ MUTANTS = [
         'metavar="N,M"',
     ),
     (
-        "dispatch drops the full-parser fallback",
+        "dispatch skips argparse when the plain reader defers",
         "cli.py",
-        "        if left:",
-        "        if False:",
+        "        if args is None:  # help",
+        "        if not argv:  # help",
+    ),
+    (
+        "plain reader takes an option value starting with a dash",
+        "cli.py",
+        'if token[:1] == "-" or action.choices',
+        "if action.choices",
+    ),
+    (
+        "plain reader lets a broken nargs=+ run through",
+        "cli.py",
+        "elif runs > 1 or not words:",
+        "elif runs > 2 or not words:",
+    ),
+    (
+        "plain reader drops the choices check",
+        "cli.py",
+        ' or action.choices is not None and value not in action.choices:',
+        ":",
+    ),
+    (
+        "plain reader drops the required-option check",
+        "cli.py",
+        "if words or any(a.required and a not in seen for a in options.values()):",
+        "if words:",
     ),
     (
         "lift inverts modulo n, not n/g",
