@@ -1,26 +1,24 @@
 """Command-line front end.
 
 Subcommands: solve, count, bound, extremal, tightness, runner, each one row
-of _SUBCOMMANDS (name, help, handler, arguments). Each handler returns a
+of _SUBCOMMANDS (name: help, handler, arguments). Each handler returns a
 record and, optionally, its text lines; run alone prints and picks the exit
 status. A result goes to stdout as text (the lines, else one
 `key = value` line per field) or, with --json, as one JSON record; a refusal
 goes to stderr as `error: <message>` or the record {"status": "error",
 "message": ...}. Exit status is 0 when the record's status is "ok", 1 when the
 system has no solution or the request is infeasible, and 2 on usage errors and
-overflow refusals. run can be called repeatedly in one process; every call
-reuses one parser, built on the first with a spec per subcommand read off the
-same rows. A call naming a subcommand in its plain shape (see _plain) is read
-straight from that spec; help, usage errors and unusual spellings go to the
-full parser, which alone prints usage and error text.
+overflow refusals. run reads a call in its plain shape (see _plain) straight
+from the row's arguments, without loading argparse; help, usage errors and
+unusual spellings go to the argparse parser, built once from the same rows.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import sys
+from types import SimpleNamespace
 from typing import Sequence, TextIO
 
 from .bounds import (
@@ -109,7 +107,7 @@ def _emit(json_mode: bool, record: dict, lines: list[str] | None, file: TextIO) 
             print(line, file=file)
 
 
-def _cmd_solve(args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _cmd_solve(args: SimpleNamespace) -> tuple[dict, list[str]]:
     system = CongruenceSystem.from_pairs(
         _int_pair(token, ":", "congruence {!r} is not of the form 'a:m'")
         for token in args.congruences
@@ -123,7 +121,7 @@ def _cmd_solve(args: argparse.Namespace) -> tuple[dict, list[str]]:
     )
 
 
-def _cmd_count(args: argparse.Namespace) -> tuple[dict, None]:
+def _cmd_count(args: SimpleNamespace) -> tuple[dict, None]:
     first = parse_collection(args.collection_a, args.m)
     second = parse_collection(args.collection_b, args.n)
     how_many = exact_count(first, second)
@@ -133,7 +131,7 @@ def _cmd_count(args: argparse.Namespace) -> tuple[dict, None]:
     return record, None
 
 
-def _cmd_bound(args: argparse.Namespace) -> tuple[dict, None]:
+def _cmd_bound(args: SimpleNamespace) -> tuple[dict, None]:
     if args.mode == "arbitrary":
         result = bound_arbitrary(args.m, args.n, args.size_a, args.size_b)
         return {"status": "ok", "bound": result.lower_bound, "case": result.case_tag}, None
@@ -141,7 +139,7 @@ def _cmd_bound(args: argparse.Namespace) -> tuple[dict, None]:
     return {"status": "ok", "bound": value}, None
 
 
-def _cmd_extremal(args: argparse.Namespace) -> tuple[dict, None]:
+def _cmd_extremal(args: SimpleNamespace) -> tuple[dict, None]:
     profile_a = extremal_profile(args.size_a, args.cap_a, args.length)
     profile_b = extremal_profile(args.size_b, args.cap_b, args.length)
     result = extremal_sum(args.size_a, args.cap_a, args.size_b, args.cap_b, args.length)
@@ -154,7 +152,7 @@ def _cmd_extremal(args: argparse.Namespace) -> tuple[dict, None]:
     }, None
 
 
-def _cmd_tightness(args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _cmd_tightness(args: SimpleNamespace) -> tuple[dict, list[str]]:
     first, second = pair = tightness_instance(args.scale)
     how_many = exact_count(first, second)
     interval_a, interval_b = (
@@ -178,7 +176,7 @@ def _cmd_tightness(args: argparse.Namespace) -> tuple[dict, list[str]]:
     return record, lines
 
 
-def _cmd_runner(args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _cmd_runner(args: SimpleNamespace) -> tuple[dict, list[str]]:
     import crtcount.runner as runner  # loads fractions
 
     pair = _int_pair(args.speeds, ",", "speeds {!r} must be two comma-separated integers")
@@ -196,58 +194,63 @@ def _cmd_runner(args: argparse.Namespace) -> tuple[dict, list[str]]:
     return record, [f"t = {witness.time}, distances {first}, {second}"]
 
 
-# Each argument is (flag or name, add_argument keywords), added after --json in
-# row order, so the help and usage text keep their argument order.
-_SUBCOMMANDS = (
-    ("solve", "solve a system of congruences", _cmd_solve, (
+_JSON = ("--json", dict(action="store_true", help="emit one JSON record instead of text"))
+
+# name: (help, handler, arguments), _JSON first in each. Each argument is (flag or
+# name, add_argument keywords), added in row order, so help and usage keep that order.
+_SUBCOMMANDS = {
+    "solve": ("solve a system of congruences", _cmd_solve, (
+        _JSON,
         ("congruences", dict(nargs="+", metavar="a:m", help="congruence x ≡ a (mod m)")),
     )),
-    ("count", "count common solutions of two residue collections", _cmd_count, (
+    "count": ("count common solutions of two residue collections", _cmd_count, (
+        _JSON,
         ("m", dict(type=int, help="first modulus")),
         ("n", dict(type=int, help="second modulus")),
         ("collection_a", dict(metavar="A", help="collection mod m: {r1,r2,...} or start+len")),
         ("collection_b", dict(metavar="B", help="collection mod n: {r1,r2,...} or start+len")),
         ("--enumerate", dict(action="store_true", help="also list the solution residues")),
     )),
-    ("bound", "lower bound on the solution count from sizes alone", _cmd_bound, (
+    "bound": ("lower bound on the solution count from sizes alone", _cmd_bound, (
+        _JSON,
         ("mode", dict(choices=("arbitrary", "interval"))),
         ("m", dict(type=int, help="first modulus")),
         ("n", dict(type=int, help="second modulus")),
         ("size_a", dict(type=int, help="size of the first collection")),
         ("size_b", dict(type=int, help="size of the second collection")),
     )),
-    ("extremal", "worst-case count profiles and their pairing sum", _cmd_extremal, tuple(
+    "extremal": ("worst-case count profiles and their pairing sum", _cmd_extremal, (_JSON, *(
         (name, dict(type=int)) for name in ("size_a", "cap_a", "size_b", "cap_b", "length")
-    )),
-    ("tightness", "one-third-density interval pair with no common solution", _cmd_tightness, (
+    ))),
+    "tightness": ("one-third-density interval pair with no common solution", _cmd_tightness, (
+        _JSON,
         ("--M", dict(dest="scale", type=int, required=True,
                      help="scale factor; moduli are 3M and 6M")),
     )),
-    ("runner", "time keeping two runners at distance >= 1/3 from the origin", _cmd_runner, (
+    "runner": ("time keeping two runners at distance >= 1/3 from the origin", _cmd_runner, (
+        _JSON,
         ("--speeds", dict(required=True, metavar="M,N", help="two distinct positive speeds")),
     )),
-)
+}
 
 
-def _value(action: argparse.Action, token: str):
+def _value(keywords: dict, token: str):
     """token converted and checked as argparse would, refused when it starts with "-"."""
-    value = token if action.type is None else action.type(token)
-    if token[:1] == "-" or action.choices is not None and value not in action.choices:
+    value = keywords.get("type", str)(token)
+    if token[:1] == "-" or "choices" in keywords and value not in keywords["choices"]:
         raise ValueError(token)
     return value
 
 
-def _plain(spec: tuple, tokens: list[str]) -> argparse.Namespace | None:
-    """The Namespace the subparser returns for tokens in their plain shape, else None.
+def _plain(arguments: tuple, tokens: list[str]) -> SimpleNamespace | None:
+    """What the subparser reads from tokens in their plain shape, else None.
 
-    Plain: each token starting with "-" is one of the row's option strings, a
+    Plain: each token starting with "-" is one of the row's flags, a
     value-taking option's value follows it, the other tokens fill the
     positionals in order (an nargs="+" one from one unbroken run), every value
-    converts and every required option is given. argparse reads anything else.
+    converts and every value-taking option is given. argparse reads the rest.
     """
-    defaults, options, positionals = spec
-    values = dict(defaults)
-    seen, words, runs, in_run = set(), [], 0, False
+    spec, values, words, runs, in_run = dict(arguments), {}, [], 0, False
     tokens = iter(tokens)
     try:
         for token in tokens:
@@ -256,31 +259,35 @@ def _plain(spec: tuple, tokens: list[str]) -> argparse.Namespace | None:
                 in_run = True
                 words.append(token)
                 continue
-            action = options[token]  # KeyError: not one of the row's option strings
+            keywords = spec[token]  # KeyError: not one of the row's flags
             in_run = False
-            seen.add(action)
-            if action.nargs == 0:  # a store_true flag
-                values[action.dest] = action.const
-            else:  # a missing value reads as "-", which _value refuses
-                values[action.dest] = _value(action, next(tokens, "-"))
-        for action in positionals:
-            if action.nargs != "+":
-                values[action.dest] = _value(action, words.pop(0))  # IndexError: too few
+            # a store_true flag reads True; a missing value reads as "-", which _value refuses
+            values[keywords.get("dest", token[2:])] = (
+                keywords.get("action") == "store_true" or _value(keywords, next(tokens, "-"))
+            )
+        for name, keywords in arguments:
+            if name[0] == "-":  # an unseen flag reads False; an unseen option defers
+                dest = keywords.get("dest", name[2:])
+                if dest not in values and keywords.get("action") != "store_true":
+                    return None
+                values.setdefault(dest, False)
+            elif keywords.get("nargs") != "+":
+                values[name] = _value(keywords, words.pop(0))  # IndexError: too few
             elif runs > 1 or not words:  # it takes every remaining word, from one run
                 return None
             else:
-                values[action.dest] = [_value(action, word) for word in words]
+                values[name] = [_value(keywords, word) for word in words]
                 words = []
     except (LookupError, ValueError):
         return None
-    if words or any(a.required and a not in seen for a in options.values()):
-        return None
-    return argparse.Namespace(**values)
+    return None if words else SimpleNamespace(**values)
 
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
-    """The full parser, and each subcommand's spec for _plain, read off the same rows."""
+def _build_parser():
+    """The full argparse parser, built from the same rows; it alone prints help and errors."""
+    import argparse  # plain calls never load it
+
     parser = argparse.ArgumentParser(
         prog="crtcount",
         description=(
@@ -289,33 +296,26 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
         ),
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-    specs = {}
-    for name, help_text, handler, arguments in _SUBCOMMANDS:
+    for name, (help_text, _, arguments) in _SUBCOMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
-        actions = [sub.add_argument("--json", action="store_true",
-                                    help="emit one JSON record instead of text")]
-        actions += [sub.add_argument(flag, **keywords) for flag, keywords in arguments]
-        sub.set_defaults(handler=handler)
-        specs[name] = (
-            {action.dest: action.default for action in actions} | {"handler": handler},
-            {flag: action for action in actions for flag in action.option_strings},
-            [action for action in actions if not action.option_strings],
-        )
-    return parser, specs
+        for flag, keywords in arguments:
+            sub.add_argument(flag, **keywords)
+    return parser
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv, dispatch, print the result or refusal, and return the exit status."""
-    parser, specs = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _plain(specs[argv[0]], argv[1:]) if argv and argv[0] in specs else None
+    name = argv[0] if argv else None
+    args = _plain(_SUBCOMMANDS[name][2], argv[1:]) if name in _SUBCOMMANDS else None
     try:
         if args is None:  # help, usage errors and unusual spellings: argparse reads argv
-            args = parser.parse_args(argv)
+            args = _build_parser().parse_args(argv, SimpleNamespace())
+            name = args.subcommand
             # argparse hands a `--` given as a value (--M=--, or a second `--`) over as []
-            if empty := [name for name, value in vars(args).items() if value == []]:
+            if empty := [key for key, value in vars(args).items() if value == []]:
                 raise ValueError(f"argument {empty[0]}: invalid value '--'")
-        record, lines = args.handler(args)
+        record, lines = _SUBCOMMANDS[name][1](args)
         code, file = (0 if record["status"] == "ok" else 1), sys.stdout
     except SystemExit as exc:  # argparse exits on usage errors and --help
         return int(exc.code or 0)

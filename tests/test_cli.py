@@ -451,9 +451,8 @@ VALID_ARGV = [
 def test_subcommand_dispatch_prints_what_the_full_parser_prints(monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
     direct = invoke(*argv)
-    parser, _ = cli._build_parser()
-    # with no subcommand names to dispatch on, every call goes through parse_args
-    monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
+    # with the plain reader deferring on every call, each one goes through parse_args
+    monkeypatch.setattr(cli, "_plain", lambda arguments, tokens: None)
     assert invoke(*argv) == direct
 
 
@@ -465,6 +464,7 @@ def test_leftover_arguments_get_the_top_level_usage():
 
 
 def test_valid_calls_skip_the_top_level_parser(monkeypatch):
+    assert {argv[0] for argv in VALID_ARGV} == set(cli._SUBCOMMANDS)
     calls = []
     reference = argparse.ArgumentParser.parse_known_args
 
@@ -490,24 +490,27 @@ def test_valid_calls_skip_the_top_level_parser(monkeypatch):
 
 
 def _subparser(name):
-    parser, _ = cli._build_parser()
+    parser = cli._build_parser()
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return subparsers.choices[name]
 
 
 def _agrees_with_argparse(name, tokens):
     """Whether _plain reads tokens; if it does, it must read them as the subparser does."""
-    read = cli._plain(cli._build_parser()[1][name], list(tokens))
+    read = cli._plain(cli._SUBCOMMANDS[name][2], list(tokens))
     if read is not None:
         with redirect_stdout(io.StringIO()), redirect_stderr(err := io.StringIO()):
             try:
-                expected = _subparser(name).parse_known_args(list(tokens))
+                namespace, leftover = _subparser(name).parse_known_args(list(tokens))
             except SystemExit:
                 pytest.fail(f"{name} {tokens}: _plain read {read}, argparse: {err.getvalue()}")
-        assert (read, []) == expected, (name, tokens)
+        assert (vars(read), []) == (vars(namespace), leftover), (name, tokens)
     return read is not None
 
 
+# every value and default the reader gives, store_true flags' False included,
+# must be argparse's: on a row with an optional option argparse fills with
+# None, the reader would have to defer or differ
 @pytest.mark.parametrize("argv", VALID_ARGV, ids=" ".join)
 def test_plain_reader_reads_every_valid_call(argv):
     name, *tokens = argv
@@ -542,7 +545,7 @@ def test_plain_reader_reads_every_valid_call(argv):
 )
 def test_plain_reader_leaves_other_shapes_to_argparse(argv):
     name, *tokens = argv
-    assert cli._plain(cli._build_parser()[1][name], tokens) is None
+    assert cli._plain(cli._SUBCOMMANDS[name][2], tokens) is None
 
 
 def _texts(ints, modes):
@@ -633,35 +636,43 @@ def test_module_entry_point():
 
 
 def test_cli_loads_fractions_and_json_only_on_the_paths_that_use_them():
-    # In a fresh interpreter: what `import crtcount.cli` leaves out, then what a
-    # text runner call and a --json call add. Module names only, no timings.
+    # In a fresh interpreter without site: what `import crtcount.cli` leaves out,
+    # then what a text runner call, a --json call and a --help call add. argparse
+    # (and its gettext) load only for the help. Module names only, no timings.
     probe = (
         "import io, sys; from contextlib import redirect_stdout\n"
         "sys.path.insert(0, sys.argv[1]); import crtcount.cli\n"
-        "deferred = ('fractions', 'decimal', 'numbers', 'json', 'crtcount.runner')\n"
+        "deferred = ('fractions', 'decimal', 'numbers', 'json', 'crtcount.runner',\n"
+        "            'argparse', 'gettext')\n"
         "def loaded(): return sorted(m for m in deferred if m in sys.modules)\n"
         "print(repr(loaded()))\n"
-        "for argv in (['runner', '--speeds', '1,2'], ['solve', '2:3', '3:5', '--json']):\n"
+        "for argv in (['runner', '--speeds', '1,2'], ['solve', '2:3', '3:5', '--json'],\n"
+        "             ['count', '--help']):\n"
         "    with redirect_stdout(out := io.StringIO()):\n"
         "        code = crtcount.cli.run(argv)\n"
         "    print(repr([code, out.getvalue(), loaded()]))\n"
     )
     src = Path(residues.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", probe, str(src)],
+        [sys.executable, "-I", "-S", "-c", probe, str(src)],
         capture_output=True,
         text=True,
         check=True,
     )
-    imported, runner, json_call = map(ast.literal_eval, proc.stdout.splitlines())
+    imported, runner, json_call, help_call = map(ast.literal_eval, proc.stdout.splitlines())
     assert imported == []
     assert runner == [
         0,
         "t = 1/3, distances 1/3, 1/3\n",
         ["crtcount.runner", "decimal", "fractions", "numbers"],
     ]
-    assert json_call[:2] == [0, '{"status": "ok", "residue": 8, "modulus": 15}\n']
-    assert "json" in json_call[2]
+    assert json_call == [
+        0,
+        '{"status": "ok", "residue": 8, "modulus": 15}\n',
+        ["crtcount.runner", "decimal", "fractions", "json", "numbers"],
+    ]
+    assert help_call[0] == 0 and help_call[1].startswith("usage: crtcount count [-h]")
+    assert {"argparse", "gettext"} <= set(help_call[2])
 
 
 def test_out_of_range_bound_is_refused():

@@ -220,8 +220,8 @@ MUTANTS = [
     (
         "plain reader takes an option value starting with a dash",
         "cli.py",
-        'if token[:1] == "-" or action.choices',
-        "if action.choices",
+        'if token[:1] == "-" or "choices" in keywords',
+        'if "choices" in keywords',
     ),
     (
         "plain reader lets a broken nargs=+ run through",
@@ -232,14 +232,32 @@ MUTANTS = [
     (
         "plain reader drops the choices check",
         "cli.py",
-        ' or action.choices is not None and value not in action.choices:',
+        ' or "choices" in keywords and value not in keywords["choices"]:',
         ":",
     ),
     (
-        "plain reader drops the required-option check",
+        "plain reader reads an unseen value-taking option as False",
         "cli.py",
-        "if words or any(a.required and a not in seen for a in options.values()):",
-        "if words:",
+        'if dest not in values and keywords.get("action") != "store_true":',
+        "if False:",
+    ),
+    (
+        "plain reader ignores a row's dest",
+        "cli.py",
+        'values[keywords.get("dest", token[2:])] = (',
+        "values[token[2:]] = (",
+    ),
+    (
+        "plain reader drops a store_true flag's False default",
+        "cli.py",
+        "                values.setdefault(dest, False)\n",
+        "",
+    ),
+    (
+        "cli imports argparse at module level",
+        "cli.py",
+        "import sys\nfrom types import SimpleNamespace\n",
+        "import argparse\nimport sys\nfrom types import SimpleNamespace\n",
     ),
     (
         "lift inverts modulo n, not n/g",
