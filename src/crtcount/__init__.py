@@ -11,8 +11,6 @@ loads on first use: asking the package for `runner`, for one of its names or
 for `__all__` imports it.
 """
 
-import importlib
-
 from . import bounds, congruence, residues
 from .bounds import *
 from .congruence import *
@@ -22,8 +20,9 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    # import_module, because `from . import runner` would look the name up here again
-    runner = importlib.import_module(".runner", __name__)
+    # The import statement binds crtcount.runner before it reads the attribute back;
+    # `from . import runner` would look the name up here first and recurse.
+    import crtcount.runner as runner
     if name == "runner":
         return runner
     if name == "__all__":

@@ -16,8 +16,9 @@ instances sitting exactly on its boundary.
 
 from __future__ import annotations
 
+import collections
 import math
-from typing import NamedTuple, Sequence
+from collections.abc import Sequence
 
 from .congruence import INT64_MAX, _checked_bound, _positive, _shown, _Value, checked_mul
 from .residues import CyclicInterval, _within_cap, interval_block_pairs
@@ -108,11 +109,8 @@ def extremal_profile(size: int, cap: int, length: int) -> ExtremalProfile:
     return ExtremalProfile(values=(0,) * zeros + (leftover,) * (zeros >= 0) + (cap,) * filled)
 
 
-class BoundResult(NamedTuple):
-    """A proven floor on the solution count, tagged by which case produced it."""
-
-    lower_bound: int
-    case_tag: str
+BoundResult = collections.namedtuple("BoundResult", ("lower_bound", "case_tag"))
+BoundResult.__doc__ = "A proven floor on the solution count, tagged by which case produced it."
 
 
 def extremal_sum(

@@ -18,8 +18,8 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from collections.abc import Sequence
 from types import SimpleNamespace
-from typing import Sequence, TextIO
 
 from .bounds import (
     InfeasibleError,

@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterable
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = [
     "INT64_MAX",

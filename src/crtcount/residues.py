@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, repeat
-from typing import Callable, Iterable, Iterator, Union
 
 from .congruence import SolutionClass, _lift, _positive, _shown, _solution_classes, _Value
 from .congruence import checked_mul
@@ -107,7 +107,7 @@ class CyclicInterval(_Value):
         return chain(range(self.start, min(end, self.modulus)), range(end - self.modulus))
 
 
-ResidueCollection = Union[ResidueSet, CyclicInterval]
+ResidueCollection = ResidueSet | CyclicInterval
 
 
 def partition_counts(collection: ResidueCollection, divisor: int) -> tuple[int, ...]:

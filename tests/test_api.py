@@ -7,6 +7,7 @@ import inspect
 import pickle
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import crtcount
@@ -142,12 +143,12 @@ def test_modular_inverse_has_one_owner():
 
 
 def in_fresh_interpreter(code, *args):
-    """Run code in a fresh `python -I` that finds crtcount where this test
+    """Run code in a fresh `python -I -S` that finds crtcount where this test
     process did, after `import sys`, and return the literal it prints."""
     src = Path(crtcount.__file__).resolve().parents[1]
     prelude = f"import sys; sys.path.insert(0, {str(src)!r})\n"
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", prelude + code, *args],
+        [sys.executable, "-I", "-S", "-c", prelude + code, *args],
         capture_output=True,
         text=True,
         check=True,
@@ -157,12 +158,15 @@ def in_fresh_interpreter(code, *args):
 
 def test_runner_loads_on_first_use_of_the_lazy_api():
     # Each probe starts from a bare `import crtcount`, which loads neither runner
-    # nor fractions; the package's __getattr__ imports runner on first use.
+    # nor fractions; the package's __getattr__ imports runner on first use, and
+    # neither step loads importlib or typing.
     def after_import(code):
         return in_fresh_interpreter(f"import crtcount\n{code}")
 
     loaded = "print([name in sys.modules for name in ('crtcount.runner', 'fractions')])"
     assert after_import(loaded) == [False, False]
+    unused = "print(sorted(m for m in ('importlib', 'typing') if m in sys.modules))"
+    assert after_import(f"crtcount.RunnerPair\n{unused}") == []
     assert after_import("print(crtcount.__all__)") == API
     star = "exec('from crtcount import *', names := {}); print(sorted(names))"
     assert after_import(star) == sorted(["__builtins__", *API])
@@ -177,3 +181,30 @@ def test_pickled_witness_loads_in_an_interpreter_that_imported_nothing():
     witness = crtcount.two_runner_witness(crtcount.RunnerPair(1, 3))
     loaded = "import pickle; print(repr(repr(pickle.loads(bytes.fromhex(sys.argv[1])))))"
     assert in_fresh_interpreter(loaded, pickle.dumps(witness).hex()) == repr(witness)
+
+
+def test_bound_result_and_residue_collection_keep_their_shape():
+    # BoundResult is a plain collections.namedtuple and ResidueCollection a
+    # runtime `|` union; neither needs typing to be built or used.
+    BoundResult = crtcount.BoundResult
+    assert BoundResult._fields == ("lower_bound", "case_tag")
+    assert BoundResult.__mro__ == (BoundResult, tuple, object)
+    assert BoundResult.__module__ == "crtcount.bounds"
+    assert BoundResult.__doc__ == (
+        "A proven floor on the solution count, tagged by which case produced it."
+    )
+    result = BoundResult(3, "overlap")
+    assert repr(result) == "BoundResult(lower_bound=3, case_tag='overlap')"
+    assert result == (3, "overlap") and hash(result) == hash((3, "overlap"))
+    assert result._asdict() == {"lower_bound": 3, "case_tag": "overlap"}
+    assert result._replace(lower_bound=4) == BoundResult(4, "overlap")
+    loaded = (
+        "import pickle; r = pickle.loads(bytes.fromhex(sys.argv[1]))\n"
+        "print(repr([repr(r), r == (3, 'overlap')]))"
+    )
+    assert in_fresh_interpreter(loaded, pickle.dumps(result).hex()) == [repr(result), True]
+
+    collection = crtcount.ResidueCollection
+    assert typing.get_args(collection) == (crtcount.ResidueSet, crtcount.CyclicInterval)
+    assert isinstance(crtcount.ResidueSet(6, (0, 2)), collection)
+    assert isinstance(crtcount.CyclicInterval(6, 4, 3), collection)

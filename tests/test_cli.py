@@ -637,17 +637,18 @@ def test_module_entry_point():
 
 def test_cli_loads_fractions_and_json_only_on_the_paths_that_use_them():
     # In a fresh interpreter without site: what `import crtcount.cli` leaves out,
-    # then what a text runner call, a --json call and a --help call add. argparse
-    # (and its gettext) load only for the help. Module names only, no timings.
+    # then what a text count call, a text runner call, a --json call and a --help
+    # call add. argparse (and its gettext) load only for the help; typing and
+    # importlib load on no path. Module names only, no timings.
     probe = (
         "import io, sys; from contextlib import redirect_stdout\n"
         "sys.path.insert(0, sys.argv[1]); import crtcount.cli\n"
         "deferred = ('fractions', 'decimal', 'numbers', 'json', 'crtcount.runner',\n"
-        "            'argparse', 'gettext')\n"
+        "            'argparse', 'gettext', 'typing', 'importlib', 're', 'enum')\n"
         "def loaded(): return sorted(m for m in deferred if m in sys.modules)\n"
         "print(repr(loaded()))\n"
-        "for argv in (['runner', '--speeds', '1,2'], ['solve', '2:3', '3:5', '--json'],\n"
-        "             ['count', '--help']):\n"
+        "for argv in (['count', '12', '18', '0+4', '3+5'], ['runner', '--speeds', '1,2'],\n"
+        "             ['solve', '2:3', '3:5', '--json'], ['count', '--help']):\n"
         "    with redirect_stdout(out := io.StringIO()):\n"
         "        code = crtcount.cli.run(argv)\n"
         "    print(repr([code, out.getvalue(), loaded()]))\n"
@@ -659,20 +660,23 @@ def test_cli_loads_fractions_and_json_only_on_the_paths_that_use_them():
         text=True,
         check=True,
     )
-    imported, runner, json_call, help_call = map(ast.literal_eval, proc.stdout.splitlines())
+    lines = map(ast.literal_eval, proc.stdout.splitlines())
+    imported, count_call, runner, json_call, help_call = lines
     assert imported == []
+    assert count_call == [0, "count = 3\nmodulus = 36\n", []]
     assert runner == [
         0,
         "t = 1/3, distances 1/3, 1/3\n",
-        ["crtcount.runner", "decimal", "fractions", "numbers"],
+        ["crtcount.runner", "decimal", "enum", "fractions", "numbers", "re"],
     ]
     assert json_call == [
         0,
         '{"status": "ok", "residue": 8, "modulus": 15}\n',
-        ["crtcount.runner", "decimal", "fractions", "json", "numbers"],
+        ["crtcount.runner", "decimal", "enum", "fractions", "json", "numbers", "re"],
     ]
     assert help_call[0] == 0 and help_call[1].startswith("usage: crtcount count [-h]")
     assert {"argparse", "gettext"} <= set(help_call[2])
+    assert not {"typing", "importlib"} & set(help_call[2])
 
 
 def test_out_of_range_bound_is_refused():

@@ -3,12 +3,15 @@
 Each mutant is one (file, exact old text, new text) edit kept in MUTANTS
 below. For each, the script copies src/, tests/, tools/ and perfbench/ (whose
 traced names tests/test_api.py reads) into a temporary directory, applies
-the edit there, runs the tier-1 suite with -x and prints "killed" when some
-test fails or "survived" when every test passes. The working tree is never
-modified. It first runs the suite on the unmutated copy, because a suite
-that already fails would kill every mutant. Standard library only, apart
-from the suite's own pytest and hypothesis; not part of tier-1. A surviving
-mutant costs one full suite run, so expect several minutes:
+the edit there and runs the mutated file's own tests with -x:
+tests/test_<stem>.py, or tests/test_api.py for the package's __init__.py.
+Only when they all pass does it run the whole tier-1 suite with -x. It
+prints "killed" when some test fails or "survived" when every test passes.
+The working tree is never modified. It first runs the suite on the
+unmutated copy, because a suite that already fails would kill every mutant.
+Standard library only, apart from the suite's own pytest and hypothesis;
+not part of tier-1. A mutant its own tests miss costs one full suite run,
+so expect several minutes:
 
     python3 tools/mutants.py
 
@@ -256,8 +259,20 @@ MUTANTS = [
     (
         "cli imports argparse at module level",
         "cli.py",
-        "import sys\nfrom types import SimpleNamespace\n",
-        "import argparse\nimport sys\nfrom types import SimpleNamespace\n",
+        "import sys\nfrom collections.abc import Sequence\n",
+        "import argparse\nimport sys\nfrom collections.abc import Sequence\n",
+    ),
+    (
+        "bounds imports typing at module level",
+        "bounds.py",
+        "import collections\nimport math\n",
+        "import collections\nimport math\nimport typing\n",
+    ),
+    (
+        "package loads runner through importlib",
+        "__init__.py",
+        "    import crtcount.runner as runner\n",
+        "    import importlib\n\n    runner = importlib.import_module(\".runner\", __name__)\n",
     ),
     (
         "lift inverts modulo n, not n/g",
@@ -298,11 +313,12 @@ MUTANTS = [
 ]
 
 
-def run_suite(tree: Path) -> subprocess.CompletedProcess:
-    """Tier-1 with -x on the copy at tree, importing crtcount from its src/."""
+def run_suite(tree: Path, *paths: str) -> subprocess.CompletedProcess:
+    """Tier-1 with -x on the copy at tree, or only the test files at paths,
+    importing crtcount from its src/."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *paths],
         cwd=tree,
         env=env,
         capture_output=True,
@@ -348,8 +364,11 @@ def main() -> int:
             target = tree / "src" / "crtcount" / filename
             original = target.read_text()
             target.write_text(original.replace(old, new))
+            owner = "api" if filename == "__init__.py" else filename.removesuffix(".py")
             try:
-                proc = run_suite(tree)
+                proc = run_suite(tree, f"tests/test_{owner}.py")
+                if proc.returncode == 0:
+                    proc = run_suite(tree)
             finally:
                 target.write_text(original)
             outcome = "killed" if proc.returncode != 0 else "survived"
