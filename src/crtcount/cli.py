@@ -299,8 +299,25 @@ def _build_parser():
     for name, (help_text, _, arguments) in _SUBCOMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
         for flag, keywords in arguments:
+            if flag[0] == "-" and keywords.get("action") != "store_true":
+                keywords = dict(keywords, type=_dash_value_as_empty(keywords.get("type", str)))
             sub.add_argument(flag, **keywords)
     return parser
+
+
+def _dash_value_as_empty(convert):
+    """convert, except that an option value of "--" reads as [].
+
+    argparse before 3.13 drops such a `--` and hands the option [] without
+    converting; 3.13 converts it. Either way run's [] scan then refuses it.
+    The name stays convert's, which argparse shows in its errors.
+    """
+
+    def read(token: str):
+        return [] if token == "--" else convert(token)
+
+    read.__name__ = convert.__name__
+    return read
 
 
 def run(argv: Sequence[str] | None = None) -> int:

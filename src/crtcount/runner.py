@@ -29,15 +29,16 @@ __all__ = [
 DISTANT_THRESHOLD = Fraction(1, 3)
 
 
-def _distance(p: int, q: int) -> Fraction:
-    """Distance from p/q (q > 0) to the nearest integer: a Fraction in [0, 1/2]."""
-    r = p % q
-    return Fraction(min(r, q - r), q)
+def _distant(near: int, q: int) -> bool:
+    """near/q >= DISTANT_THRESHOLD (q > 0), compared on the integers."""
+    return 3 * near >= q
 
 
 def circle_distance(x: int | Fraction) -> Fraction:
     """Distance from x, an int or a Fraction, to the nearest integer: a Fraction in [0, 1/2]."""
-    return _distance(x.numerator, x.denominator)
+    q = x.denominator
+    r = x.numerator % q
+    return Fraction(min(r, q - r), q)
 
 
 def distant_interval(speed: int, denominator: int, runners: int = 2) -> CyclicInterval:
@@ -92,7 +93,7 @@ class DistantWitness(_Value):
         if not 0 <= time.numerator < time.denominator:
             raise ValueError(f"witness time must lie in [0, 1), got {_shown(time)}")
         for d in distances:
-            if 3 * d.numerator < d.denominator:
+            if not _distant(d.numerator, d.denominator):
                 raise ValueError(f"distance {_shown(d)} is below the 1/3 threshold")
         object.__setattr__(self, "time", time)
         object.__setattr__(self, "distances", distances)
@@ -115,13 +116,27 @@ def two_runner_witness(pair: RunnerPair) -> DistantWitness:
     """
     m, n = pair.speed_m, pair.speed_n
     denominator = checked_mul(3 * m, n)
-    slow, fast = min(m, n), max(m, n)
+    slow, fast = (m, n) if m < n else (n, m)
     first = fast
     offset = (first - slow) % (3 * slow)
     if offset > slow:
         first += 3 * slow - offset
-    # The argument above rules this out; refuse rather than return a wrong time.
-    if first > 2 * fast:
+    period_m, period_n = 3 * n, 3 * m
+    r_m, r_n = first % period_m, first % period_n
+    near_m = r_m if 2 * r_m <= period_m else period_m - r_m
+    near_n = r_n if 2 * r_n <= period_n else period_n - r_n
+    # The argument above rules out each failure; refuse rather than return a wrong
+    # witness. These are DistantWitness's own checks, made here on the integers.
+    if not (
+        first <= 2 * fast
+        and 0 <= first < denominator
+        and _distant(near_m, period_m)
+        and _distant(near_n, period_n)
+    ):
         raise RuntimeError(f"no distant time found for speeds ({_shown(m)}, {_shown(n)})")
-    distances = (_distance(first, 3 * n), _distance(first, 3 * m))
-    return DistantWitness(Fraction(first, denominator), distances)
+    witness = object.__new__(DistantWitness)
+    DistantWitness.time.__set__(witness, Fraction(first, denominator))
+    DistantWitness.distances.__set__(
+        witness, (Fraction(near_m, period_m), Fraction(near_n, period_n))
+    )
+    return witness

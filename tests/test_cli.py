@@ -406,6 +406,25 @@ def test_double_dash_as_a_value_is_a_usage_error(argv, name):
     assert json.loads(err) == {"status": "error", "message": message}
 
 
+def test_option_types_read_a_double_dash_value_as_empty():
+    # Python 3.13's argparse converts an option value of `--` that 3.10-3.12 hand
+    # over as [] unconverted, so each option's type reads it as [] itself and
+    # keeps its converter's name for argparse's errors. Positionals are not wrapped.
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    wrapped = {}
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.nargs == 0:  # --help, --json, --enumerate
+                continue
+            if action.option_strings:
+                assert action.type("--") == []
+                wrapped[name, action.dest] = (action.type.__name__, action.type("12"))
+            else:
+                assert action.type in (None, int), (name, action.dest)
+    assert wrapped == {("tightness", "scale"): ("int", 12), ("runner", "speeds"): ("str", "12")}
+
+
 def test_no_exception_escapes_run_on_the_digest_argv():
     # malformed tokens, --help, wrong arity and values past 2**63 on every subcommand
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"

@@ -1,6 +1,11 @@
 """Unit tests for the two-runner distant-time search."""
 
+import ast
+import copy
+import math
+import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given
@@ -217,3 +222,62 @@ def test_witness_touches_no_arc_members_or_solver(monkeypatch):
     assert witness.time == Fraction(1, 2999999997)
     assert witness.distances == (Fraction(1, 3), Fraction(10**9, 2999999997))
     assert two_runner_witness(RunnerPair(1, 10**9)).time == Fraction(1, 3)
+
+
+@st.composite
+def speed_pairs(draw):
+    """Distinct speeds (m, n), in either order, with 3*m*n inside signed 64 bits."""
+    slow = draw(st.integers(1, math.isqrt(EDGE) - 1))
+    fast = draw(st.integers(slow + 1, EDGE // slow))
+    return (slow, fast) if draw(st.booleans()) else (fast, slow)
+
+
+@given(speed_pairs())
+@example((1, EDGE))
+@example((EDGE, 1))
+@example((999999999, 10**9))
+def test_witness_is_a_checked_value_up_to_the_64_bit_edge(speeds):
+    # the witness is filled without DistantWitness.__init__, so the constructor
+    # re-checks it here, and it must equal, hash, pickle and copy like a built one
+    w = two_runner_witness(RunnerPair(*speeds))
+    assert type(w) is DistantWitness
+    for other in (DistantWitness(w.time, w.distances), pickle.loads(pickle.dumps(w)), copy.copy(w)):
+        assert type(other) is DistantWitness
+        assert other == w and hash(other) == hash(w)
+    m, n = speeds
+    assert w.distances == (circle_distance(m * w.time), circle_distance(n * w.time))
+
+
+def test_witness_does_not_call_the_constructor(monkeypatch):
+    pairs = ((1, 2), (7, 3), (999999999, 10**9), (1, EDGE))
+    expected = {speeds: two_runner_witness(RunnerPair(*speeds)) for speeds in pairs}
+
+    def refuse(*args):
+        raise AssertionError("the witness re-ran DistantWitness.__init__")
+
+    monkeypatch.setattr(DistantWitness, "__init__", refuse)
+    for speeds, witness in expected.items():
+        assert two_runner_witness(RunnerPair(*speeds)) == witness
+
+
+def test_witness_threshold_has_one_owner():
+    # The integer form of "at least 1/3", 3 * near >= q, is written in
+    # runner._distant alone, and both the constructor and the witness call it.
+    tree = ast.parse(Path(runner.__file__).read_text())
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def owner(node):
+        while node in parents and not isinstance(node, ast.FunctionDef):
+            node = parents[node]
+        return getattr(node, "name", None)
+
+    thirds, calls = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if any("3 *" in ast.unparse(side) for side in sides):
+                thirds.add((owner(node), ast.unparse(node)))
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "_distant":
+            calls.add(owner(node))
+    assert thirds == {("_distant", "3 * near >= q")}
+    assert calls == {"__init__", "two_runner_witness"}

@@ -15,8 +15,10 @@ so expect several minutes:
 
     python3 tools/mutants.py
 
-Exit status 0 means every mutant was killed; 1 means some survived or an
-edit no longer matches its file exactly once.
+Edits that cannot change any result are kept apart in EQUIVALENT, each with
+its reason; they are checked to match and printed, never run. Exit status 0
+means every mutant was killed; 1 means some survived or an edit no longer
+matches its file exactly once.
 """
 
 from __future__ import annotations
@@ -78,8 +80,32 @@ MUTANTS = [
     (
         "witness threshold refuses 1/3",
         "runner.py",
-        "if 3 * d.numerator < d.denominator:",
-        "if 3 * d.numerator <= d.denominator:",
+        "    return 3 * near >= q\n",
+        "    return 3 * near > q\n",
+    ),
+    (
+        "witness keeps the far side for runner m",
+        "runner.py",
+        "near_m = r_m if 2 * r_m <= period_m else period_m - r_m",
+        "near_m = period_m - r_m if 2 * r_m <= period_m else r_m",
+    ),
+    (
+        "witness takes runner n's residue as its distance",
+        "runner.py",
+        "near_n = r_n if 2 * r_n <= period_n else period_n - r_n",
+        "near_n = r_n",
+    ),
+    (
+        "witness near side drops the factor 2",
+        "runner.py",
+        "r_m if 2 * r_m <= period_m",
+        "r_m if r_m <= period_m",
+    ),
+    (
+        "witness pairs each distance with the other runner",
+        "runner.py",
+        "(Fraction(near_m, period_m), Fraction(near_n, period_n))",
+        "(Fraction(near_n, period_n), Fraction(near_m, period_m))",
     ),
     (
         "circle distance ignores the near side",
@@ -310,6 +336,50 @@ MUTANTS = [
         'repr(value)[1:-1].replace(",", "")',
         "repr(value)[1:-1]",
     ),
+    (
+        "option type converts a dash value",
+        "cli.py",
+        'return [] if token == "--" else convert(token)',
+        "return convert(token)",
+    ),
+    (
+        "option type loses its converter's name",
+        "cli.py",
+        "    read.__name__ = convert.__name__\n",
+        "",
+    ),
+    (
+        "positionals get the dash-value type too",
+        "cli.py",
+        'if flag[0] == "-" and keywords.get("action") != "store_true":',
+        'if keywords.get("action") != "store_true":',
+    ),
+]
+
+# Edits that cannot change any result, each with the reason; listed and
+# matched like MUTANTS, never run. (name, file, old text, new text, reason)
+EQUIVALENT = [
+    (
+        "witness near side at exactly half the period",
+        "runner.py",
+        "r_m if 2 * r_m <= period_m",
+        "r_m if 2 * r_m < period_m",
+        "when 2r = q both branches give r = q - r",
+    ),
+    (
+        "witness drops its time-in-[0, 1) check",
+        "runner.py",
+        "        and 0 <= first < denominator\n",
+        "",
+        "the line before keeps first within [f, 2f], and 2f < 3mn",
+    ),
+    (
+        "witness time check lets a negative time through",
+        "runner.py",
+        "0 <= first < denominator",
+        "-1 <= first < denominator",
+        "first starts at the larger speed and only grows",
+    ),
 ]
 
 
@@ -343,7 +413,7 @@ def copy_tree(destination: Path) -> None:
 
 def main() -> int:
     stale = []
-    for name, filename, old, _ in MUTANTS:
+    for name, filename, old, *_ in MUTANTS + EQUIVALENT:
         found = (ROOT / "src" / "crtcount" / filename).read_text().count(old)
         if found != 1:
             stale.append(f"{name}: {old!r} occurs {found} times in {filename}")
@@ -374,8 +444,10 @@ def main() -> int:
             outcome = "killed" if proc.returncode != 0 else "survived"
             killed += proc.returncode != 0
             print(f"{outcome:8}  {name}  ({last_line(proc)})", flush=True)
+    for name, *_, reason in EQUIVALENT:
+        print(f"{'equivalent':8}  {name}  ({reason})")
     survived = len(MUTANTS) - killed
-    print(f"killed {killed} of {len(MUTANTS)}, survived {survived}")
+    print(f"killed {killed} of {len(MUTANTS)}, survived {survived}, {len(EQUIVALENT)} equivalent not run")
     return 0 if survived == 0 else 1
 
 
