@@ -210,19 +210,75 @@ def _members_by_class(
     return lambda c: buckets.get(c, ())
 
 
+def _members_between(
+    collection: ResidueCollection,
+) -> Callable[[int, int, int], Iterable[int]]:
+    """Lookup from (base, low, high), 0 <= low <= high <= modulus, to base + each
+    member in [low, high), increasing: a slice of a set's sorted members found
+    by two bisections, or for an interval the parts of its wrapped piece
+    [0, end - modulus) and its main piece [start, end) in [low, high)."""
+    if isinstance(collection, CyclicInterval):
+        start = collection.start
+        end = start + collection.length
+        wrapped = end - collection.modulus
+        return lambda base, low, high: chain(
+            range(base + low, base + min(high, wrapped)),
+            range(base + max(low, start), base + min(high, end)),
+        )
+    members = collection.members
+    return lambda base, low, high: [
+        base + r for r in members[bisect_left(members, low) : bisect_left(members, high)]
+    ]
+
+
+def _window_solutions(arc: CyclicInterval, other: ResidueCollection, span: int) -> list[int]:
+    """The solutions in [0, span) of x mod m in arc and x mod n in other, increasing.
+
+    They lie in the windows [start + j*m, start + j*m + length) clipped to
+    [0, span), j from -1 (reached only when the arc wraps past m) to span/m - 1.
+    Each window is read one period of n at a time through _members_between.
+    """
+    m, n, length = arc.modulus, other.modulus, arc.length
+    between = _members_between(other)
+    found: list[int] = []
+    for first in range(arc.start - m if arc.start + length > m else arc.start, span, m):
+        low, high = max(first, 0), min(first + length, span)
+        base = low - low % n
+        low -= base
+        while base < high:
+            found += between(base, low, min(high - base, n))
+            base += n
+            low = 0
+    return found
+
+
 def _solutions(a: ResidueCollection, b: ResidueCollection) -> tuple[list[int], int]:
     """Sorted residues of every common solution class, and their modulus lcm(m, n).
 
     Raises EnumerationCapError when lcm(m, n) exceeds ENUMERATION_CAP, read at
-    call time, before anything is built. Let a be the smaller collection (a swap
-    turns k into 1 - k). Each member α of a meets the members β of b in its class
-    mod g = gcd(m, n), and each pair lifts to (α + k*(β - α)) % lcm, k from _lift,
-    also for β past the top of b's range. Cost O(min(|a|, |b|) + s log s) for s
-    solutions, plus O(|b|) to bucket a set b; [0, lcm) is never scanned.
+    call time, before anything is built. Two kernels, chosen by cost:
+
+      window: when a side is an interval (of two intervals, the one with the
+        larger modulus, which has fewer windows) and lcm/its modulus is at
+        most the other side's size, _window_solutions lists the solutions
+        already in order, one addition each. Cost O(|other| log |other| + s)
+        for s solutions.
+      pair: otherwise, let a be the smaller collection (a swap turns k into
+        1 - k). Each member α of a meets the members β of b in its class mod
+        g = gcd(m, n), and each pair lifts to (α + k*(β - α)) % lcm, k from
+        _lift, also for β past the top of b's range. Cost O(min(|a|, |b|) +
+        s log s), plus O(|b|) to bucket a set b.
+
+    Neither scans [0, lcm).
     """
     g, k = _lift(a.modulus, b.modulus)
     span = checked_mul(a.modulus // g, b.modulus)
     _within_cap(span, "scan range {}", span)
+    arc, other = (a, b) if a.modulus >= b.modulus else (b, a)
+    if not isinstance(arc, CyclicInterval):
+        arc, other = other, arc
+    if isinstance(arc, CyclicInterval) and span // arc.modulus <= other.size:
+        return _window_solutions(arc, other, span), span
     if a.size > b.size:
         a, b, k = b, a, 1 - k
     partners = _members_by_class(b, g)
@@ -233,7 +289,7 @@ def _solutions(a: ResidueCollection, b: ResidueCollection) -> tuple[list[int], i
 
 def enumerate_solutions(a: ResidueCollection, b: ResidueCollection) -> list[SolutionClass]:
     """Every common solution class modulo lcm(m, n), in increasing order: the
-    residues of _solutions, each the CRT lift α + k*(β - α) of a pair α ≡ β
-    (mod g), with k ≡ 0 (mod m/g) and k ≡ 1 (mod n/g), already reduced into
-    [0, lcm), so the classes skip SolutionClass's range checks."""
+    residues of _solutions, read off an interval's windows or lifted from
+    agreeing pairs α ≡ β (mod g), already reduced into [0, lcm), so the
+    classes skip SolutionClass's range checks."""
     return _solution_classes(*_solutions(a, b))

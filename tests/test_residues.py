@@ -1,5 +1,6 @@
 """Unit tests for residue-class collections and the exact pair count."""
 
+import bisect
 import math
 import pickle
 import random
@@ -233,6 +234,13 @@ SPARSE, EVENS = ResidueSet(12, (0, 5, 7, 11)), ResidueSet(18, tuple(range(0, 18,
 @example(SPARSE, EVENS)
 @example(ResidueSet(12, (0, 5)), CyclicInterval(6, 1, 4))  # the partner's modulus divides
 @example(CyclicInterval(6, 4, 3), EVENS)  # the walked modulus divides the partner's
+@example(CyclicInterval(10, 8, 5), ResidueSet(15, (0, 4, 9, 13)))  # a wrapping arc
+@example(CyclicInterval(30, 7, 20), ResidueSet(4, (1, 3)))  # windows cross periods of 4
+@example(CyclicInterval(12, 5, 0), ResidueSet(18, (1, 2, 3)))  # an empty arc
+@example(CyclicInterval(12, 5, 7), ResidueSet(18, ()))  # an empty set
+@example(CyclicInterval(6, 5, 4), ResidueSet(18, (0, 7, 11, 16)))  # m | n
+@example(CyclicInterval(18, 15, 7), ResidueSet(6, (1, 4)))  # n | m
+@example(CyclicInterval(20, 17, 3), CyclicInterval(12, 2, 9))  # windows on the arc of smaller size
 def test_closed_forms_match_scan(a, b):
     for first, second in ((a, b), (b, a)):
         expected = scan_solutions(first, second)
@@ -300,6 +308,10 @@ def test_enumeration_walks_only_the_smaller_collection(intervals_not_walked):
     assert enumerate_solutions(full, single) == enumerate_solutions(single, full)
     arc = CyclicInterval(2 * 10**6, 10**6, 3)
     assert [c.residue for c in enumerate_solutions(single, arc)] == []
+    # lcm 3 * 10**6 makes 3 windows against one member, so the pairs are lifted
+    third, top = ResidueSet(3, (1,)), CyclicInterval(10**6, 999_999, 3)
+    for a, b in ((third, top), (top, third)):
+        assert [c.residue for c in enumerate_solutions(a, b)] == [1, 10**6, 2 * 10**6 - 1]
     # Two disjoint halves of one modulus share no solution, yet lcm 10**12 is
     # past the cap, which must refuse before either half is walked.
     low = CyclicInterval(10**12, 0, 5 * 10**11)
@@ -308,3 +320,66 @@ def test_enumeration_walks_only_the_smaller_collection(intervals_not_walked):
     for a, b in ((low, high), (high, low)):
         with pytest.raises(EnumerationCapError):
             enumerate_solutions(a, b)
+
+
+def test_halves_of_one_modulus_enumerate_without_a_walk(intervals_not_walked):
+    low = CyclicInterval(10**7, 0, 5 * 10**6)
+    high = CyclicInterval(10**7, 5 * 10**6, 5 * 10**6)
+    assert enumerate_solutions(low, high) == []
+    assert enumerate_solutions(high, low) == []
+
+
+def test_window_rule_boundary(monkeypatch):
+    """Windows run when lcm // (the arc's modulus) <= the other side's size."""
+    arcs = []
+    window_solutions = residues._window_solutions
+
+    def recorded(arc, other, span):
+        arcs.append(arc)
+        return window_solutions(arc, other, span)
+
+    monkeypatch.setattr(residues, "_window_solutions", recorded)
+    arc = CyclicInterval(10, 3, 4)  # lcm with 15 is 30, and 30 // 10 == 3
+    for members, windows in (((1, 7, 12), 1), ((1, 7), 0)):
+        for a, b in ((arc, ResidueSet(15, members)), (ResidueSet(15, members), arc)):
+            arcs.clear()
+            assert [c.residue for c in enumerate_solutions(a, b)] == scan_solutions(a, b)
+            assert arcs == [arc] * windows
+    # Of two arcs the larger modulus makes the windows: 24 // 12 == 2 <= 2,
+    # while the mod-8 arc's 24 // 8 == 3 would exceed the other's size 2.
+    wide, narrow = CyclicInterval(12, 11, 2), CyclicInterval(8, 6, 2)
+    for a, b in ((wide, narrow), (narrow, wide)):
+        arcs.clear()
+        assert [c.residue for c in enumerate_solutions(a, b)] == scan_solutions(a, b)
+        assert arcs == [wide]
+
+
+def test_window_bisections_are_bounded_by_the_output(monkeypatch):
+    calls = []
+
+    def counted(members, value):
+        calls.append(value)
+        return bisect.bisect_left(members, value)
+
+    monkeypatch.setattr(residues, "bisect_left", counted)
+    rng = random.Random(2417)
+    tried = 0
+    while tried < 500:
+        m, n = rng.randint(1, 60), rng.randint(1, 60)
+        span = m // math.gcd(m, n) * n
+        other = ResidueSet(n, rng.sample(range(n), rng.randint(1, n)))
+        if span // m > other.size:
+            continue
+        arc = CyclicInterval(m, rng.randrange(m), rng.randint(0, m))
+        tried += 1
+        calls.clear()
+        solutions = enumerate_solutions(arc, other)
+        wraps = arc.start + arc.length > m
+        firsts = range(arc.start - m if wraps else arc.start, span, m)
+        crossed = 0
+        for first in firsts:
+            low, high = max(first, 0), min(first + arc.length, span)
+            crossed += max(0, (high - 1) // n - low // n)
+        assert 2 <= len(calls) or arc.length == 0  # the windows ran
+        assert len(calls) <= 2 * (len(firsts) + crossed)
+        assert len(calls) <= 2 * (span // m + 1 + len(solutions))

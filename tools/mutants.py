@@ -144,6 +144,48 @@ MUTANTS = [
         "    if a.size < b.size:\n",
     ),
     (
+        "window kernel skips the wrapped window at -1",
+        "residues.py",
+        "range(arc.start - m if arc.start + length > m else arc.start, span, m)",
+        "range(arc.start, span, m)",
+    ),
+    (
+        "window rule refuses its boundary",
+        "residues.py",
+        "span // arc.modulus <= other.size",
+        "span // arc.modulus < other.size",
+    ),
+    (
+        "window periods keep the first period's offset",
+        "residues.py",
+        "            low = 0\n",
+        "",
+    ),
+    (
+        "windows on the arc with the smaller modulus",
+        "residues.py",
+        "(a, b) if a.modulus >= b.modulus else (b, a)",
+        "(a, b) if a.modulus <= b.modulus else (b, a)",
+    ),
+    (
+        "window slice takes its top member",
+        "residues.py",
+        "bisect_left(members, high)]",
+        "bisect_left(members, high + 1)]",
+    ),
+    (
+        "window partner's wrapped piece one too long",
+        "residues.py",
+        "min(high, wrapped)",
+        "min(high, wrapped + 1)",
+    ),
+    (
+        "last window left unclipped at the lcm",
+        "residues.py",
+        "min(first + length, span)",
+        "first + length",
+    ),
+    (
         "text output drops a field",
         "cli.py",
         'if key != "status":',
