@@ -8,9 +8,9 @@ status. A result goes to stdout as text (the lines, else one
 goes to stderr as `error: <message>` or the record {"status": "error",
 "message": ...}. Exit status is 0 when the record's status is "ok", 1 when the
 system has no solution or the request is infeasible, and 2 on usage errors and
-overflow refusals. run reads a call in its plain shape (see _plain) straight
-from the row's arguments, without loading argparse; help, usage errors and
-unusual spellings go to the argparse parser, built once from the same rows.
+overflow refusals. run reads a plain call (flags as the table spells them,
+each value after a space or an "=") from its row without loading argparse;
+help, usage errors and other spellings go to the parser built from the rows.
 """
 
 from __future__ import annotations
@@ -245,10 +245,10 @@ def _value(keywords: dict, token: str):
 def _plain(arguments: tuple, tokens: list[str]) -> SimpleNamespace | None:
     """What the subparser reads from tokens in their plain shape, else None.
 
-    Plain: each token starting with "-" is one of the row's flags, a
-    value-taking option's value follows it, the other tokens fill the
+    Plain: flags exactly as the table spells them, each value after a space
+    or an "=" and not starting with "-", the other tokens filling the
     positionals in order (an nargs="+" one from one unbroken run), every value
-    converts and every value-taking option is given. argparse reads the rest.
+    converting and every value-taking option given. argparse reads the rest.
     """
     spec, values, words, runs, in_run = dict(arguments), {}, [], 0, False
     tokens = iter(tokens)
@@ -259,11 +259,15 @@ def _plain(arguments: tuple, tokens: list[str]) -> SimpleNamespace | None:
                 in_run = True
                 words.append(token)
                 continue
-            keywords = spec[token]  # KeyError: not one of the row's flags
+            flag, joined, value = token.partition("=")
+            keywords = spec[flag]  # KeyError: not one of the row's flags
             in_run = False
+            store_true = keywords.get("action") == "store_true"
+            if store_true and joined:  # argparse refuses it
+                return None
             # a store_true flag reads True; a missing value reads as "-", which _value refuses
-            values[keywords.get("dest", token[2:])] = (
-                keywords.get("action") == "store_true" or _value(keywords, next(tokens, "-"))
+            values[keywords.get("dest", flag[2:])] = store_true or _value(
+                keywords, value if joined else next(tokens, "-")
             )
         for name, keywords in arguments:
             if name[0] == "-":  # an unseen flag reads False; an unseen option defers

@@ -5,6 +5,7 @@ import ast
 import importlib.util
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -425,15 +426,18 @@ def test_option_types_read_a_double_dash_value_as_empty():
     assert wrapped == {("tightness", "scale"): ("int", 12), ("runner", "speeds"): ("str", "12")}
 
 
-def test_no_exception_escapes_run_on_the_digest_argv():
+def test_no_exception_escapes_run_on_the_digest_argv(monkeypatch):
     # malformed tokens, --help, wrong arity and values past 2**63 on every subcommand
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
     spec = importlib.util.spec_from_file_location("cli_digest", path)
     cli_digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(cli_digest)
-    _, outcomes = cli_digest.digest(1)
-    # the tallies pin every exit status; the hash would also pin argparse's help text
+    monkeypatch.setenv("COLUMNS", "200")  # the digest reads help at 80 columns regardless
+    hexdigest, outcomes = cli_digest.digest(1)
+    # the tallies pin every exit status; the hash pins every byte, help text included
     assert outcomes == {"exit 0": 1824, "exit 1": 303, "exit 2": 5373}, outcomes
+    assert hexdigest == "1daaa803d4e12dd0f22a43868b6388719563a1520738eacaa8a5d8a5e459a520"
+    assert os.environ["COLUMNS"] == "200"
 
 
 VALID_ARGV = [
@@ -443,7 +447,9 @@ VALID_ARGV = [
     ("bound", "interval", "4", "6", "3", "5"),
     ("extremal", "5", "2", "4", "3", "4"),
     ("tightness", "--M", "2"),
+    ("tightness", "--M=5"),
     ("runner", "--speeds", "3,7"),
+    ("runner", "--speeds=3,7"),
 ]
 
 
@@ -497,14 +503,16 @@ def test_valid_calls_skip_the_top_level_parser(monkeypatch):
         assert invoke(*argv)[0] == 0, argv
         assert invoke(*argv, "--json")[0] == 0, argv
     assert calls == []
-    # an unknown subcommand, a spelling the reader leaves to argparse, and a
+    # an unknown subcommand, an abbreviation the reader leaves to argparse, and a
     # broken nargs="+" run (argparse's "unrecognized arguments") reach it once each
-    fallbacks = [["nonsense"], ["tightness", "--M=5"], ["solve", "1:2", "--json", "3:4"]]
+    fallbacks = [
+        ["nonsense"], ["count", "4", "6", "{0}", "{1}", "--enum"], ["solve", "1:2", "--json", "3:4"]
+    ]
     for argv, code in zip(fallbacks, (2, 0, 2)):
         assert invoke(*argv)[0] == code, argv
     assert [args for prog, args in calls if prog == "crtcount"] == fallbacks
     assert [prog for prog, _ in calls if prog != "crtcount"] == [
-        "crtcount tightness", "crtcount solve"
+        "crtcount count", "crtcount solve"
     ]
 
 
@@ -553,7 +561,11 @@ def test_plain_reader_reads_every_valid_call(argv):
         ("count", "4", "6", "{0}", "{1}", "{2}"),
         ("tightness", "--json"),  # a required option missing
         ("runner",),
-        ("tightness", "--M=5"),
+        ("tightness", "--M=-5"),  # a joined value starting with "-"
+        ("tightness", "--M=--"),
+        ("tightness", "--M", "2", "--json=1"),  # a store_true flag given "="
+        ("count", "4", "6", "{0}", "{1}", "--enumerate="),
+        ("runner", "--sp=3,5"),  # an abbreviation, joined
         ("tightness", "--M", "2", "--"),
         ("solve", "--", "1:2"),
         ("count", "-h"),
@@ -599,7 +611,7 @@ POSITIONALS = {
 }
 OPTIONS = {"count": [["--enumerate"]], "tightness": [["--M", "int"]], "runner": [["--speeds", "speeds"]]}
 NOISE = ["--", "-h", "--help", "--M=3", "--speeds=1,2", "-5", "", "1 2", "{0, 1}", "--js",
-         "--M", "--speeds", "--enumerate", "--json", "arbitrary", "9" * 4301]
+         "--M", "--speeds", "--enumerate", "--json", "--json=x", "arbitrary", "9" * 4301]
 
 
 @st.composite
@@ -616,7 +628,10 @@ def _tokens(draw, name):
     for flag, *kinds in groups:
         if draw(st.booleans()) or flag in ("--M", "--speeds") and not wild:
             at = draw(st.integers(0, len(tokens)))
-            tokens[at:at] = [flag, *(draw(texts[kind]) for kind in kinds)]
+            spelled = [flag, *(draw(texts[kind]) for kind in kinds)]
+            if kinds and draw(st.booleans()):  # --M=<int>, --speeds=<speeds>
+                spelled = ["=".join(spelled)]
+            tokens[at:at] = spelled
     return draw(st.permutations(tokens)) if wild and draw(st.booleans()) else tokens
 
 
@@ -656,9 +671,9 @@ def test_module_entry_point():
 
 def test_cli_loads_fractions_and_json_only_on_the_paths_that_use_them():
     # In a fresh interpreter without site: what `import crtcount.cli` leaves out,
-    # then what a text count call, a text runner call, a --json call and a --help
-    # call add. argparse (and its gettext) load only for the help; typing and
-    # importlib load on no path. Module names only, no timings.
+    # then what a text count call, a joined tightness call, a text runner call, a
+    # --json call and a --help call add. argparse (and its gettext) load only
+    # for the help; typing and importlib load on no path. Module names only, no timings.
     probe = (
         "import io, sys; from contextlib import redirect_stdout\n"
         "sys.path.insert(0, sys.argv[1]); import crtcount.cli\n"
@@ -666,8 +681,9 @@ def test_cli_loads_fractions_and_json_only_on_the_paths_that_use_them():
         "            'argparse', 'gettext', 'typing', 'importlib', 're', 'enum')\n"
         "def loaded(): return sorted(m for m in deferred if m in sys.modules)\n"
         "print(repr(loaded()))\n"
-        "for argv in (['count', '12', '18', '0+4', '3+5'], ['runner', '--speeds', '1,2'],\n"
-        "             ['solve', '2:3', '3:5', '--json'], ['count', '--help']):\n"
+        "for argv in (['count', '12', '18', '0+4', '3+5'], ['tightness', '--M=5'],\n"
+        "             ['runner', '--speeds', '1,2'], ['solve', '2:3', '3:5', '--json'],\n"
+        "             ['count', '--help']):\n"
         "    with redirect_stdout(out := io.StringIO()):\n"
         "        code = crtcount.cli.run(argv)\n"
         "    print(repr([code, out.getvalue(), loaded()]))\n"
@@ -680,9 +696,11 @@ def test_cli_loads_fractions_and_json_only_on_the_paths_that_use_them():
         check=True,
     )
     lines = map(ast.literal_eval, proc.stdout.splitlines())
-    imported, count_call, runner, json_call, help_call = lines
+    imported, count_call, joined, runner, json_call, help_call = lines
     assert imported == []
     assert count_call == [0, "count = 3\nmodulus = 36\n", []]
+    tightness = "m = 15\nn = 30\nA = 0+5 (mod 15)\nB = 5+10 (mod 30)\ncount = 0\n"
+    assert joined == [0, tightness, []]
     assert runner == [
         0,
         "t = 1/3, distances 1/3, 1/3\n",

@@ -15,10 +15,6 @@ in both; equal digests mean their CLIs printed the same bytes and exit
 statuses on every argv:
 
     python3 tools/cli_digest.py --seed 1
-    python3 tools/cli_digest.py --seed 1 --spaced
-
---spaced spells the tightness and runner options as two tokens (`--M 5`),
-the shape the plain reader reads, where the default `--M=5` goes to argparse.
 """
 
 from __future__ import annotations
@@ -33,6 +29,7 @@ import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 MALFORMED = [
     "x", "", "1.5", "0x10", "1e3", "--",
@@ -72,7 +69,7 @@ def _separator(rng: random.Random) -> list[str]:
     return ["--"] if rng.random() < 0.2 else []
 
 
-def _argv(rng: random.Random, spaced: bool) -> list[str]:
+def _argv(rng: random.Random) -> list[str]:
     kind = rng.choice([*SUBCOMMANDS, "other"])
     flags = ["--json"] if rng.random() < 0.5 else []
     if kind == "solve":
@@ -101,10 +98,10 @@ def _argv(rng: random.Random, spaced: bool) -> list[str]:
         return ["extremal", *flags, *_separator(rng), *values, str(length)]
     if kind == "tightness":
         value = _token(rng)
-        return ["tightness", *flags, *(["--M", value] if spaced else [f"--M={value}"])]
+        return ["tightness", *flags, f"--M={value}"]
     if kind == "runner":
         speeds = ",".join(_token(rng) for _ in range(rng.choice([2, 2, 2, 1, 3])))
-        return ["runner", *flags, *(["--speeds", speeds] if spaced else [f"--speeds={speeds}"])]
+        return ["runner", *flags, f"--speeds={speeds}"]
     return rng.choice(
         [
             [],
@@ -118,12 +115,13 @@ def _argv(rng: random.Random, spaced: bool) -> list[str]:
     )
 
 
-def digest(seed: int, spaced: bool = False) -> tuple[str, Counter]:
+@patch.dict(os.environ, COLUMNS="80")
+def digest(seed: int) -> tuple[str, Counter]:
     """SHA-256 over (argv, outcome, stdout, stderr) for COUNT argv, and the outcomes.
 
     The outcome is the exit status, or the type of an exception escaping run.
-    With spaced, the tightness and runner options and their values are two
-    tokens (`--M 5`) rather than one (`--M=5`); the argv are otherwise the same.
+    Help is read at 80 columns whatever the caller's COLUMNS, so the digest
+    depends on its seed alone.
     """
     from crtcount.cli import run
 
@@ -131,7 +129,7 @@ def digest(seed: int, spaced: bool = False) -> tuple[str, Counter]:
     sha = hashlib.sha256()
     outcomes: Counter = Counter()
     for _ in range(COUNT):
-        argv = _argv(rng, spaced)
+        argv = _argv(rng)
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             try:
@@ -147,13 +145,9 @@ def digest(seed: int, spaced: bool = False) -> tuple[str, Counter]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--spaced", action="store_true", help="spell --M and --speeds apart from their values"
-    )
     args = parser.parse_args()
-    os.environ["COLUMNS"] = "80"  # argparse wraps help and usage to the terminal width
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    hexdigest, outcomes = digest(args.seed, args.spaced)
+    hexdigest, outcomes = digest(args.seed)
     print(f"{hexdigest}  {COUNT} argv")
     print("  ".join(f"{outcome}: {n}" for outcome, n in sorted(outcomes.items())))
 

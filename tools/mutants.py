@@ -315,8 +315,20 @@ MUTANTS = [
     (
         "plain reader ignores a row's dest",
         "cli.py",
-        'values[keywords.get("dest", token[2:])] = (',
-        "values[token[2:]] = (",
+        'values[keywords.get("dest", flag[2:])] =',
+        "values[flag[2:]] =",
+    ),
+    (
+        "plain reader reads a store_true flag given = as set",
+        "cli.py",
+        "            if store_true and joined:  # argparse refuses it\n                return None\n",
+        "",
+    ),
+    (
+        "plain reader takes the next token over a joined value",
+        "cli.py",
+        'value if joined else next(tokens, "-")',
+        'next(tokens, "-")',
     ),
     (
         "plain reader drops a store_true flag's False default",
