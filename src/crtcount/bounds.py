@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import collections
 import math
-from collections.abc import Sequence
 
 from .congruence import INT64_MAX, _checked_bound, _positive, _shown, _Value, checked_mul
 from .residues import CyclicInterval, _within_cap, interval_block_pairs
 
-# Defined here but outside the API: the oracle rearrangement_bounds.
 __all__ = [
     "BoundResult",
     "CASE_BOUNDARY",
@@ -46,30 +44,6 @@ CASE_OVERLAP = "overlap"
 
 class InfeasibleError(ValueError):
     """No admissible sequence exists for the requested size, cap, and length."""
-
-
-def rearrangement_bounds(
-    a: Sequence[float], b: Sequence[float], sigma: Sequence[int]
-) -> tuple[float, float, float]:
-    """Reversed, permuted, and aligned dot products of two sorted sequences.
-
-    For non-decreasing a and b the reversed pairing sum(a[k]*b[n-1-k]) is
-    minimal and the aligned pairing sum(a[k]*b[k]) maximal over all
-    permutations, so the returned triple (reversed, permuted, aligned) is
-    ordered.
-    """
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    n = len(a)
-    if sorted(sigma) != list(range(n)):
-        raise ValueError(f"sigma must be a permutation of 0..{n - 1}")
-    for name, seq in (("a", a), ("b", b)):
-        if any(seq[i] > seq[i + 1] for i in range(n - 1)):
-            raise ValueError(f"sequence {name} is not sorted non-decreasing")
-    lower = sum(x * y for x, y in zip(a, reversed(b)))
-    permuted = sum(a[k] * b[sigma[k]] for k in range(n))
-    upper = sum(x * y for x, y in zip(a, b))
-    return lower, permuted, upper
 
 
 class ExtremalProfile(_Value):

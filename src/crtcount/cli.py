@@ -89,7 +89,7 @@ def _int_pair(text: str, sep: str, message: str) -> tuple[int, int]:
     raise ValueError(message.format(text))
 
 
-def _emit(json_mode: bool, record: dict, lines: list[str] | None, file: TextIO) -> None:
+def _emit(json_mode: bool, record: dict, lines: list[str] | None, file) -> None:
     """Print the record as JSON, or as text: the given lines, else one per field."""
     if json_mode:
         import json  # only --json output needs it

@@ -22,7 +22,7 @@ class OverflowLimitError(OverflowError):
     """A product left the signed 64-bit range this library keeps exact."""
 
 
-def _shown(n: int | Fraction) -> str:
+def _shown(n) -> str:
     """str(n) for a message. Past Python's int-to-str digit limit an integer
     shows as its bit length, and a Fraction term by term."""
     try:

@@ -26,8 +26,9 @@ ENUMERATION_CAP = 10_000_000
 
 
 class EnumerationCapError(ValueError):
-    """Refused: an enumeration's lcm(m, n), a profile's length, or a partition's
-    divisor or collection size exceeds ENUMERATION_CAP."""
+    """Refused: an enumeration's lcm(m, n), a profile's length, an interval's
+    members() length, or a partition's divisor or collection size exceeds
+    ENUMERATION_CAP."""
 
 
 def _within_cap(value: int, what: str, *args: int) -> None:
@@ -96,6 +97,10 @@ class CyclicInterval(_Value):
         return self.length
 
     def members(self) -> tuple[int, ...]:
+        """Every member in arc order. Raises EnumerationCapError, before building
+        anything, when the length exceeds ENUMERATION_CAP, read at call time;
+        iter() stays lazy and uncapped, yielding each member as it is asked for."""
+        _within_cap(self.length, "interval of {} members", self.length)
         return tuple(self)
 
     def __contains__(self, residue: int) -> bool:

@@ -19,26 +19,16 @@ from fractions import Fraction
 from .congruence import _positive, _shown, _Value, checked_mul
 from .residues import CyclicInterval
 
-# Outside the API, as oracles: DISTANT_THRESHOLD, circle_distance, distant_interval.
 __all__ = [
     "DistantWitness",
     "RunnerPair",
     "two_runner_witness",
 ]
 
-DISTANT_THRESHOLD = Fraction(1, 3)
-
 
 def _distant(near: int, q: int) -> bool:
-    """near/q >= DISTANT_THRESHOLD (q > 0), compared on the integers."""
+    """near/q >= 1/3 (q > 0), compared on the integers."""
     return 3 * near >= q
-
-
-def circle_distance(x: int | Fraction) -> Fraction:
-    """Distance from x, an int or a Fraction, to the nearest integer: a Fraction in [0, 1/2]."""
-    q = x.denominator
-    r = x.numerator % q
-    return Fraction(min(r, q - r), q)
 
 
 def distant_interval(speed: int, denominator: int, runners: int = 2) -> CyclicInterval:

@@ -20,7 +20,6 @@ from crtcount.bounds import (
     density_guarantee,
     extremal_profile,
     extremal_sum,
-    rearrangement_bounds,
     tightness_instance,
 )
 from crtcount.congruence import CongruenceSystem, solve
@@ -30,13 +29,9 @@ from crtcount.residues import (
     enumerate_solutions,
     exact_count,
 )
-from crtcount.runner import (
-    DISTANT_THRESHOLD,
-    RunnerPair,
-    circle_distance,
-    distant_interval,
-    two_runner_witness,
-)
+from crtcount.runner import RunnerPair, distant_interval, two_runner_witness
+
+from brute_force import DISTANT_THRESHOLD, circle_distance, rearrangement_bounds
 
 CLI = [sys.executable, "-m", "crtcount.cli"]
 

@@ -21,7 +21,6 @@ from crtcount.bounds import (
     density_guarantee,
     extremal_profile,
     extremal_sum,
-    rearrangement_bounds,
     tightness_instance,
 )
 from crtcount.congruence import INT64_MAX, OverflowLimitError
@@ -32,6 +31,8 @@ from crtcount.residues import (
     exact_count,
     partition_counts,
 )
+
+from brute_force import rearrangement_bounds
 
 
 def test_rearrangement_pinned():

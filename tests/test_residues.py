@@ -1,6 +1,7 @@
 """Unit tests for residue-class collections and the exact pair count."""
 
 import bisect
+import itertools
 import math
 import pickle
 import random
@@ -75,6 +76,28 @@ def test_interval_full_and_empty():
         CyclicInterval(4, 0, 5)
     with pytest.raises(ValueError):
         CyclicInterval(4, 0, -1)
+
+
+def test_interval_members_cap(monkeypatch):
+    monkeypatch.setattr(residues, "ENUMERATION_CAP", 8)
+    assert CyclicInterval(16, 12, 8).members() == (12, 13, 14, 15, 0, 1, 2, 3)
+    refused = "^interval of 9 members exceeds the enumeration cap 8$"
+    with pytest.raises(EnumerationCapError, match=refused):
+        CyclicInterval(16, 12, 9).members()
+
+
+def test_interval_members_refuses_before_building_while_iter_stays_lazy(monkeypatch):
+    arc = CyclicInterval(10**12, 0, 10**12)
+
+    def built(self):  # members() must refuse before it asks for a single member
+        pytest.fail("members() built the arc")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CyclicInterval, "__iter__", built)
+        refused = "^interval of 1000000000000 members exceeds the enumeration cap 10000000$"
+        with pytest.raises(EnumerationCapError, match=refused):
+            arc.members()
+    assert list(itertools.islice(iter(arc), 3)) == [0, 1, 2]
 
 
 def test_interval_membership_is_by_class():

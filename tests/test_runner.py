@@ -14,16 +14,14 @@ from hypothesis import strategies as st
 from crtcount import congruence, runner
 from crtcount.congruence import INT64_MAX, OverflowLimitError
 from crtcount.residues import CyclicInterval
-from crtcount.runner import (
-    DISTANT_THRESHOLD,
-    DistantWitness,
-    RunnerPair,
-    circle_distance,
-    distant_interval,
-    two_runner_witness,
-)
+from crtcount.runner import DistantWitness, RunnerPair, distant_interval, two_runner_witness
 
-from brute_force import crt_pairing_witness, earliest_grid_time
+from brute_force import (
+    DISTANT_THRESHOLD,
+    circle_distance,
+    crt_pairing_witness,
+    earliest_grid_time,
+)
 
 
 def test_circle_distance_values():

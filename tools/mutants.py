@@ -108,12 +108,6 @@ MUTANTS = [
         "(Fraction(near_n, period_n), Fraction(near_m, period_m))",
     ),
     (
-        "circle distance ignores the near side",
-        "runner.py",
-        "Fraction(min(r, q - r), q)",
-        "Fraction(r, q)",
-    ),
-    (
         "runner guard drops the factor 3",
         "runner.py",
         "checked_mul(3 * m, n)",
@@ -184,6 +178,12 @@ MUTANTS = [
         "residues.py",
         "min(first + length, span)",
         "first + length",
+    ),
+    (
+        "interval members() drops its cap",
+        "residues.py",
+        '        _within_cap(self.length, "interval of {} members", self.length)\n',
+        "",
     ),
     (
         "text output drops a field",
