@@ -20,7 +20,6 @@ PUBLIC = {
     "CASE_OVERLAP",
     "CongruenceSystem",
     "CyclicInterval",
-    "DistantWitness",
     "ENUMERATION_CAP",
     "EnumerationCapError",
     "ExtremalProfile",
@@ -29,7 +28,6 @@ PUBLIC = {
     "OverflowLimitError",
     "ResidueCollection",
     "ResidueSet",
-    "RunnerPair",
     "SolutionClass",
     "bound_arbitrary",
     "bound_intervals",
@@ -41,10 +39,12 @@ PUBLIC = {
     "extremal_sum",
     "solve",
     "tightness_instance",
-    "two_runner_witness",
 }
 
-MODULES = (bounds, congruence, residues, runner)
+# Names listed by crtcount.runner, a submodule the package root does not import.
+RUNNER = {"DistantWitness", "RunnerPair", "two_runner_witness"}
+
+MODULES = (bounds, congruence, residues)
 API = [name for module in MODULES for name in module.__all__]  # __all__'s order
 
 # Oracles left in their modules, outside the API, because the benchmark's traced
@@ -63,20 +63,25 @@ MOVED = {
 
 
 def test_public_names():
-    assert len(crtcount.__all__) == len(PUBLIC) == 28
+    assert len(crtcount.__all__) == len(PUBLIC) == 25
     assert set(crtcount.__all__) == PUBLIC
     for name in crtcount.__all__:
         assert hasattr(crtcount, name), name
+    assert len(runner.__all__) == len(RUNNER) == 3
+    assert set(runner.__all__) == RUNNER
+    for name in runner.__all__:
+        assert hasattr(runner, name) and not hasattr(crtcount, name), name
 
 
 def test_each_public_name_is_listed_once_in_its_own_module():
-    listed = [name for module in MODULES for name in module.__all__]
-    assert sorted(listed) == sorted(crtcount.__all__)
+    assert crtcount.__all__ == API
+    listed = API + runner.__all__
     assert len(set(listed)) == len(listed)
-    for module in MODULES:
+    owners = {module: crtcount for module in MODULES} | {runner: crtcount.runner}
+    for module, owner in owners.items():
         for name in module.__all__:
             value = getattr(module, name)
-            assert getattr(crtcount, name) is value, name
+            assert getattr(owner, name) is value, name
             if inspect.isclass(value) or inspect.isfunction(value):
                 assert value.__module__ == module.__name__, name
 
@@ -98,7 +103,7 @@ def test_every_annotation_resolves():
     # Annotations are strings under `from __future__ import annotations`, so a
     # name the module never imports goes unnoticed until something resolves it.
     defined = []
-    for module in (crtcount, *MODULES, cli):
+    for module in (crtcount, *MODULES, runner, cli):
         for value in vars(module).values():
             if callable(value) and getattr(value, "__module__", None) == module.__name__:
                 defined.append(value)
@@ -192,29 +197,35 @@ def in_fresh_interpreter(code, *args):
     return ast.literal_eval(proc.stdout)
 
 
-def test_runner_loads_on_first_use_of_the_lazy_api():
-    # Each probe starts from a bare `import crtcount`, which loads neither runner
-    # nor fractions; the package's __getattr__ imports runner on first use, and
-    # neither step loads importlib or typing.
-    def after_import(code):
-        return in_fresh_interpreter(f"import crtcount\n{code}")
+def test_bare_import_leaves_runner_to_its_own_import():
+    # Each probe starts from a bare `import crtcount` and reports what it found
+    # with the modules loaded since: nothing asked of the package root loads
+    # runner or fractions, and importing runner itself loads neither importlib
+    # nor typing.
+    def after_import(statement):
+        probe = "[m for m in ('crtcount.runner', 'fractions') if m in sys.modules]"
+        return in_fresh_interpreter(f"import crtcount\n{statement}\nprint([found, {probe}])")
 
-    loaded = "print([name in sys.modules for name in ('crtcount.runner', 'fractions')])"
-    assert after_import(loaded) == [False, False]
-    unused = "print(sorted(m for m in ('importlib', 'typing') if m in sys.modules))"
-    assert after_import(f"crtcount.RunnerPair\n{unused}") == []
-    assert after_import("print(crtcount.__all__)") == API
-    star = "exec('from crtcount import *', names := {}); print(sorted(names))"
-    assert after_import(star) == sorted(["__builtins__", *API])
-    assert set(API) <= set(after_import("print(dir(crtcount))"))
-    assert after_import("print(crtcount.runner is sys.modules['crtcount.runner'])") is True
-    assert after_import("print(hasattr(crtcount, 'distant_interval'))") is False
-    same = "print(crtcount.RunnerPair is sys.modules['crtcount.runner'].RunnerPair)"
-    assert after_import(same) is True
+    assert after_import("found = None") == [None, []]
+    assert after_import("found = hasattr(crtcount, '__wrapped__')") == [False, []]
+    assert after_import("found = hasattr(crtcount, 'RunnerPair')") == [False, []]
+    assert after_import("found = hasattr(crtcount, 'distant_interval')") == [False, []]
+    assert after_import("found = crtcount.__all__") == [API, []]
+    listed = "found = sorted(name for name in dir(crtcount) if name[:2] != '__')"
+    assert after_import(listed) == [sorted([*API, "bounds", "congruence", "residues"]), []]
+    star = "exec('from crtcount import *', names := {}); found = sorted(names)"
+    assert after_import(star) == [sorted(["__builtins__", *API]), []]
+    submodule = (
+        "from crtcount import runner\n"
+        "found = [runner is sys.modules['crtcount.runner'], runner.__all__,\n"
+        "         [m for m in ('importlib', 'typing') if m in sys.modules]]"
+    )
+    loaded = ["crtcount.runner", "fractions"]
+    assert after_import(submodule) == [[True, runner.__all__, []], loaded]
 
 
 def test_pickled_witness_loads_in_an_interpreter_that_imported_nothing():
-    witness = crtcount.two_runner_witness(crtcount.RunnerPair(1, 3))
+    witness = runner.two_runner_witness(runner.RunnerPair(1, 3))
     loaded = "import pickle; print(repr(repr(pickle.loads(bytes.fromhex(sys.argv[1])))))"
     assert in_fresh_interpreter(loaded, pickle.dumps(witness).hex()) == repr(witness)
 

@@ -35,46 +35,6 @@ from crtcount.residues import (
 from brute_force import rearrangement_bounds
 
 
-def test_rearrangement_pinned():
-    lower, permuted, upper = rearrangement_bounds([1, 2, 3], [4, 5, 6], [1, 0, 2])
-    assert lower == 1 * 6 + 2 * 5 + 3 * 4
-    assert permuted == 1 * 5 + 2 * 4 + 3 * 6
-    assert upper == 1 * 4 + 2 * 5 + 3 * 6
-
-
-def test_rearrangement_validation():
-    with pytest.raises(ValueError):
-        rearrangement_bounds([1, 2], [1, 2, 3], [0, 1])
-    with pytest.raises(ValueError):
-        rearrangement_bounds([1, 2], [1, 2], [0, 0])
-    with pytest.raises(ValueError):
-        rearrangement_bounds([2, 1], [1, 2], [0, 1])
-    with pytest.raises(ValueError):
-        rearrangement_bounds([1, 2], [2, 1], [0, 1])
-
-
-@given(st.data())
-def test_rearrangement_ordering_integers(data):
-    n = data.draw(st.integers(1, 6))
-    a = sorted(data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
-    b = sorted(data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
-    sigma = data.draw(st.permutations(range(n)))
-    lower, permuted, upper = rearrangement_bounds(a, b, sigma)
-    assert lower <= permuted <= upper
-
-
-@given(st.data())
-def test_rearrangement_ordering_floats(data):
-    n = data.draw(st.integers(1, 6))
-    values = st.floats(-50, 50)
-    a = sorted(data.draw(st.lists(values, min_size=n, max_size=n)))
-    b = sorted(data.draw(st.lists(values, min_size=n, max_size=n)))
-    sigma = data.draw(st.permutations(range(n)))
-    lower, permuted, upper = rearrangement_bounds(a, b, sigma)
-    assert lower <= permuted + 1e-9
-    assert permuted <= upper + 1e-9
-
-
 def test_extremal_profile_pinned():
     assert extremal_profile(7, 3, 4).values == (0, 1, 3, 3)
     assert extremal_profile(0, 3, 4).values == (0, 0, 0, 0)

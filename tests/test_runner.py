@@ -24,36 +24,6 @@ from brute_force import (
 )
 
 
-def test_circle_distance_values():
-    assert circle_distance(Fraction(0)) == 0
-    assert circle_distance(Fraction(7)) == 0
-    assert circle_distance(Fraction(1, 2)) == Fraction(1, 2)
-    assert circle_distance(Fraction(1, 3)) == Fraction(1, 3)
-    assert circle_distance(Fraction(2, 3)) == Fraction(1, 3)
-    assert circle_distance(Fraction(5, 6)) == Fraction(1, 6)
-    assert circle_distance(Fraction(-1, 3)) == Fraction(1, 3)
-
-
-def test_circle_distance_matches_fractional_part_on_every_small_denominator():
-    # the former rational expression, kept here as the reference
-    def reference(x):
-        frac = Fraction(x) % 1
-        return min(frac, 1 - frac)
-
-    for q in range(1, 400):
-        for p in range(-q, q + 1):
-            x = Fraction(p, q)
-            assert circle_distance(x) == reference(x), x
-
-
-@given(st.fractions(max_denominator=1000))
-def test_circle_distance_period_and_reflection(x):
-    d = circle_distance(x)
-    assert 0 <= d <= Fraction(1, 2)
-    assert circle_distance(x + 1) == d
-    assert circle_distance(-x) == d
-
-
 def test_distant_interval_golden():
     arc = distant_interval(1, 6)
     assert (arc.modulus, arc.start, arc.length) == (6, 2, 3)

@@ -253,10 +253,10 @@ MUTANTS = [
         "import functools\nimport json\nimport math\n",
     ),
     (
-        "lazy __all__ drops the runner names",
+        "package API drops the residues names",
         "__init__.py",
-        " + residues.__all__ + runner.__all__",
         " + residues.__all__",
+        "",
     ),
     (
         "size guard sends a full set to the refusal check",
@@ -347,12 +347,6 @@ MUTANTS = [
         "bounds.py",
         "import collections\nimport math\n",
         "import collections\nimport math\nimport typing\n",
-    ),
-    (
-        "package loads runner through importlib",
-        "__init__.py",
-        "    import crtcount.runner as runner\n",
-        "    import importlib\n\n    runner = importlib.import_module(\".runner\", __name__)\n",
     ),
     (
         "lift inverts modulo n, not n/g",
@@ -472,7 +466,7 @@ def main() -> int:
         if found != 1:
             stale.append(f"{name}: {old!r} occurs {found} times in {filename}")
     if stale:
-        print("stale edits, nothing run:", *stale, sep="\n  ")
+        print("stale edits, nothing run:", *stale, sep="\n  ", flush=True)
         return 1
 
     killed = 0
@@ -481,9 +475,9 @@ def main() -> int:
         copy_tree(tree)
         baseline = run_suite(tree)
         if baseline.returncode != 0:
-            print(f"unmutated suite fails, nothing run: {last_line(baseline)}")
+            print(f"unmutated suite fails, nothing run: {last_line(baseline)}", flush=True)
             return 1
-        print(f"unmutated: {last_line(baseline)}")
+        print(f"unmutated: {last_line(baseline)}", flush=True)
         for name, filename, old, new in MUTANTS:
             target = tree / "src" / "crtcount" / filename
             original = target.read_text()
@@ -499,9 +493,12 @@ def main() -> int:
             killed += proc.returncode != 0
             print(f"{outcome:8}  {name}  ({last_line(proc)})", flush=True)
     for name, *_, reason in EQUIVALENT:
-        print(f"{'equivalent':8}  {name}  ({reason})")
+        print(f"{'equivalent':8}  {name}  ({reason})", flush=True)
     survived = len(MUTANTS) - killed
-    print(f"killed {killed} of {len(MUTANTS)}, survived {survived}, {len(EQUIVALENT)} equivalent not run")
+    print(
+        f"killed {killed} of {len(MUTANTS)}, survived {survived}, {len(EQUIVALENT)} equivalent not run",
+        flush=True,
+    )
     return 0 if survived == 0 else 1
 
 
