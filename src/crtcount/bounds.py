@@ -14,7 +14,6 @@ here together with the one-third density guarantee and the family of
 instances sitting exactly on its boundary.
 """
 
-from __future__ import annotations
 
 import collections
 import math

@@ -13,7 +13,6 @@ each value after a space or an "=") from its row without loading argparse;
 help, usage errors and other spellings go to the parser built from the rows.
 """
 
-from __future__ import annotations
 
 import functools
 import math

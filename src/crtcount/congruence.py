@@ -1,6 +1,5 @@
 """Exact integer primitives and the classical k-congruence solver."""
 
-from __future__ import annotations
 
 import math
 from collections.abc import Iterable

@@ -1,6 +1,5 @@
 """Collections of residue classes and the exact two-modulus solution count."""
 
-from __future__ import annotations
 
 import math
 from bisect import bisect_left

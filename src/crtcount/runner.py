@@ -12,7 +12,6 @@ whatever the speeds; a witness then builds three Fractions and does no
 Fraction arithmetic.
 """
 
-from __future__ import annotations
 
 from fractions import Fraction
 

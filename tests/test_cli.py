@@ -440,6 +440,20 @@ def test_no_exception_escapes_run_on_the_digest_argv(monkeypatch):
     assert os.environ["COLUMNS"] == "200"
 
 
+def test_digest_versions_refuses_an_interpreter_that_does_not_start(tmp_path):
+    # every interpreter is probed before any digest runs, so the reference reports nothing
+    script = Path(__file__).resolve().parents[1] / "tools" / "digest_versions.py"
+    missing = tmp_path / "no-such-python"
+    proc = subprocess.run(
+        [sys.executable, str(script), sys.executable, str(missing)],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: {missing} did not start: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 VALID_ARGV = [
     ("solve", "2:3", "3:5"),
     ("count", "4", "6", "{0,1,2}", "1+3", "--enumerate"),
@@ -673,12 +687,14 @@ def test_cli_loads_fractions_and_json_only_on_the_paths_that_use_them():
     # In a fresh interpreter without site: what `import crtcount.cli` leaves out,
     # then what a text count call, a joined tightness call, a text runner call, a
     # --json call and a --help call add. argparse (and its gettext) load only
-    # for the help; typing and importlib load on no path. Module names only, no timings.
+    # for the help; typing, importlib, __future__, dataclasses and inspect load
+    # on no path. Module names only, no timings.
     probe = (
         "import io, sys; from contextlib import redirect_stdout\n"
         "sys.path.insert(0, sys.argv[1]); import crtcount.cli\n"
         "deferred = ('fractions', 'decimal', 'numbers', 'json', 'crtcount.runner',\n"
-        "            'argparse', 'gettext', 'typing', 'importlib', 're', 'enum')\n"
+        "            'argparse', 'gettext', 'typing', 'importlib', 're', 'enum',\n"
+        "            '__future__', 'dataclasses', 'inspect')\n"
         "def loaded(): return sorted(m for m in deferred if m in sys.modules)\n"
         "print(repr(loaded()))\n"
         "for argv in (['count', '12', '18', '0+4', '3+5'], ['tightness', '--M=5'],\n"
@@ -713,7 +729,7 @@ def test_cli_loads_fractions_and_json_only_on_the_paths_that_use_them():
     ]
     assert help_call[0] == 0 and help_call[1].startswith("usage: crtcount count [-h]")
     assert {"argparse", "gettext"} <= set(help_call[2])
-    assert not {"typing", "importlib"} & set(help_call[2])
+    assert not {"typing", "importlib", "__future__", "dataclasses", "inspect"} & set(help_call[2])
 
 
 def test_out_of_range_bound_is_refused():
