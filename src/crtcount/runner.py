@@ -8,12 +8,14 @@ s < f the two speeds, the slow runner sits at x/(3f) and is that far away
 exactly when x mod 3f lies in [f, 2f]; the fast runner sits at x/(3s) and is
 that far away exactly when x mod 3s lies in [s, 2s]. The earliest common
 point is found from x = f by one modular step, in O(1) integer operations
-whatever the speeds; a witness then builds three Fractions and does no
-Fraction arithmetic.
+whatever the speeds; a witness then fills three Fractions, reduced on the
+integers and built without Fraction's constructor, and does no Fraction
+arithmetic.
 """
 
 
 from fractions import Fraction
+from math import gcd
 
 from .congruence import _positive, _shown, _Value, checked_mul
 from .residues import CyclicInterval
@@ -28,6 +30,19 @@ __all__ = [
 def _distant(near: int, q: int) -> bool:
     """near/q >= 1/3 (q > 0), compared on the integers."""
     return 3 * near >= q
+
+
+def _reduced(numerator: int, denominator: int) -> Fraction:
+    """Fraction(numerator, denominator) for ints with denominator > 0.
+
+    Built without the constructor: both ints are divided by their gcd and
+    stored in Fraction's own two slots, as its constructor stores them.
+    """
+    g = gcd(numerator, denominator)
+    fraction = object.__new__(Fraction)
+    fraction._numerator = numerator // g
+    fraction._denominator = denominator // g
+    return fraction
 
 
 def distant_interval(speed: int, denominator: int, runners: int = 2) -> CyclicInterval:
@@ -124,8 +139,8 @@ def two_runner_witness(pair: RunnerPair) -> DistantWitness:
     ):
         raise RuntimeError(f"no distant time found for speeds ({_shown(m)}, {_shown(n)})")
     witness = object.__new__(DistantWitness)
-    DistantWitness.time.__set__(witness, Fraction(first, denominator))
+    DistantWitness.time.__set__(witness, _reduced(first, denominator))
     DistantWitness.distances.__set__(
-        witness, (Fraction(near_m, period_m), Fraction(near_n, period_n))
+        witness, (_reduced(near_m, period_m), _reduced(near_n, period_n))
     )
     return witness

@@ -174,22 +174,49 @@ def test_witness_equals_crt_pairing_oracle():
 
 
 def test_witness_touches_no_arc_members_or_solver(monkeypatch):
+    expected = (Fraction(1, 2999999997), (Fraction(1, 3), Fraction(10**9, 2999999997)))
+    third = Fraction(1, 3)
+
     def refuse(*args):
         raise AssertionError(
             "the witness search walked or built an arc, called the solver,"
-            " or did Fraction arithmetic"
+            " did Fraction arithmetic or called Fraction's constructor"
         )
 
     monkeypatch.setattr(CyclicInterval, "__iter__", refuse)
     monkeypatch.setattr(CyclicInterval, "members", refuse)
     monkeypatch.setattr(congruence, "solve", refuse)
     monkeypatch.setattr(runner, "distant_interval", refuse)
-    for name in ("__mul__", "__rmul__", "__lt__", "__le__", "__gt__", "__ge__"):
+    for name in ("__new__", "__mul__", "__rmul__", "__lt__", "__le__", "__gt__", "__ge__"):
         monkeypatch.setattr(Fraction, name, refuse)
     witness = two_runner_witness(RunnerPair(999999999, 10**9))
-    assert witness.time == Fraction(1, 2999999997)
-    assert witness.distances == (Fraction(1, 3), Fraction(10**9, 2999999997))
-    assert two_runner_witness(RunnerPair(1, 10**9)).time == Fraction(1, 3)
+    assert (witness.time, witness.distances) == expected
+    assert two_runner_witness(RunnerPair(1, 10**9)).time == third
+
+
+def test_fraction_keeps_the_two_slots_the_witness_fills():
+    # runner._reduced stores into these two slots; a Fraction laid out
+    # otherwise must fail here rather than build broken witnesses.
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+
+@given(st.integers(0, 2**80), st.integers(1, 2**80), st.integers(1, 2**70))
+@example(0, 1, 1)
+@example(0, 7, 3)
+@example(3, 2, 2)
+@example(2**64, 3, 2**64 + 1)
+def test_reduced_fraction_is_the_constructors(numerator, denominator, factor):
+    # The common factor makes the gcd reduction do work on most draws.
+    numerator, denominator = numerator * factor, denominator * factor
+    built = Fraction(numerator, denominator)
+    reduced = runner._reduced(numerator, denominator)
+    assert type(reduced) is Fraction
+    assert (reduced.numerator, reduced.denominator) == (built.numerator, built.denominator)
+    assert reduced == built and hash(reduced) == hash(built)
+    assert (repr(reduced), str(reduced)) == (repr(built), str(built))
+    for other in (pickle.loads(pickle.dumps(reduced)), copy.copy(reduced), reduced + 0):
+        assert type(other) is Fraction
+        assert (other.numerator, other.denominator) == (built.numerator, built.denominator)
 
 
 @st.composite

@@ -104,8 +104,14 @@ MUTANTS = [
     (
         "witness pairs each distance with the other runner",
         "runner.py",
-        "(Fraction(near_m, period_m), Fraction(near_n, period_n))",
-        "(Fraction(near_n, period_n), Fraction(near_m, period_m))",
+        "(_reduced(near_m, period_m), _reduced(near_n, period_n))",
+        "(_reduced(near_n, period_n), _reduced(near_m, period_m))",
+    ),
+    (
+        "witness fractions skip the gcd reduction",
+        "runner.py",
+        "    g = gcd(numerator, denominator)\n",
+        "    g = 1\n",
     ),
     (
         "runner guard drops the factor 3",
