@@ -10,14 +10,16 @@ that far away exactly when x mod 3s lies in [s, 2s]. The earliest common
 point is found from x = f by one modular step, in O(1) integer operations
 whatever the speeds; a witness then fills three Fractions, reduced on the
 integers and built without Fraction's constructor, and does no Fraction
-arithmetic.
+arithmetic. Nothing is looked up per call: the allocator and the witness's
+two slot setters are bound once, at import, and the 64-bit guard is called
+only when the grid's denominator is past the range.
 """
 
 
 from fractions import Fraction
 from math import gcd
 
-from .congruence import _positive, _shown, _Value, checked_mul
+from .congruence import INT64_MAX, _positive, _shown, _Value, checked_mul
 from .residues import CyclicInterval
 
 __all__ = [
@@ -25,6 +27,9 @@ __all__ = [
     "RunnerPair",
     "two_runner_witness",
 ]
+
+
+_new = object.__new__
 
 
 def _distant(near: int, q: int) -> bool:
@@ -39,7 +44,7 @@ def _reduced(numerator: int, denominator: int) -> Fraction:
     stored in Fraction's own two slots, as its constructor stores them.
     """
     g = gcd(numerator, denominator)
-    fraction = object.__new__(Fraction)
+    fraction = _new(Fraction)
     fraction._numerator = numerator // g
     fraction._denominator = denominator // g
     return fraction
@@ -103,6 +108,10 @@ class DistantWitness(_Value):
         object.__setattr__(self, "distances", distances)
 
 
+_set_time = DistantWitness.time.__set__
+_set_distances = DistantWitness.distances.__set__
+
+
 def two_runner_witness(pair: RunnerPair) -> DistantWitness:
     """Earliest grid time at which both runners are at least 1/3 from the origin.
 
@@ -119,7 +128,9 @@ def two_runner_witness(pair: RunnerPair) -> DistantWitness:
     is O(1) integer operations.
     """
     m, n = pair.speed_m, pair.speed_n
-    denominator = checked_mul(3 * m, n)
+    denominator = 3 * m * n
+    if denominator > INT64_MAX:
+        checked_mul(3 * m, n)  # refuses, naming the product
     slow, fast = (m, n) if m < n else (n, m)
     first = fast
     offset = (first - slow) % (3 * slow)
@@ -138,9 +149,7 @@ def two_runner_witness(pair: RunnerPair) -> DistantWitness:
         and _distant(near_n, period_n)
     ):
         raise RuntimeError(f"no distant time found for speeds ({_shown(m)}, {_shown(n)})")
-    witness = object.__new__(DistantWitness)
-    DistantWitness.time.__set__(witness, _reduced(first, denominator))
-    DistantWitness.distances.__set__(
-        witness, (_reduced(near_m, period_m), _reduced(near_n, period_n))
-    )
+    witness = _new(DistantWitness)
+    _set_time(witness, _reduced(first, denominator))
+    _set_distances(witness, (_reduced(near_m, period_m), _reduced(near_n, period_n)))
     return witness

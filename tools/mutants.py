@@ -114,6 +114,12 @@ MUTANTS = [
         "    g = 1\n",
     ),
     (
+        "runner guard never fires",
+        "runner.py",
+        "    if denominator > INT64_MAX:\n",
+        "    if False:\n",
+    ),
+    (
         "runner guard drops the factor 3",
         "runner.py",
         "checked_mul(3 * m, n)",
@@ -433,6 +439,13 @@ EQUIVALENT = [
         "0 <= first < denominator",
         "-1 <= first < denominator",
         "first starts at the larger speed and only grows",
+    ),
+    (
+        "runner guard fires at exactly INT64_MAX",
+        "runner.py",
+        "if denominator > INT64_MAX:",
+        "if denominator >= INT64_MAX:",
+        "3 does not divide 2**63 - 1, so 3mn never equals INT64_MAX",
     ),
 ]
 
