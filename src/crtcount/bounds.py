@@ -18,6 +18,7 @@ instances sitting exactly on its boundary.
 import collections
 import math
 
+from . import residues
 from .congruence import INT64_MAX, _checked_bound, _positive, _shown, _Value, checked_mul
 from .residues import CyclicInterval, _within_cap, interval_block_pairs
 
@@ -55,7 +56,12 @@ class ExtremalProfile(_Value):
 
 
 def _check_profile(size: int, cap: int, length: int) -> None:
-    """Refuse a size, cap and length that admit no sorted profile."""
+    """Refuse a size, cap and length that admit no sorted profile.
+
+    extremal_profile and extremal_sum test the passing case as one chained
+    comparison and call this only when it fails, so its refusals keep this
+    one owner and their order.
+    """
     _positive(cap, "cap")
     _positive(length, "length")
     if size < 0:
@@ -74,9 +80,11 @@ def extremal_profile(size: int, cap: int, length: int) -> ExtremalProfile:
     slot). Before building anything, raises EnumerationCapError when length
     exceeds ENUMERATION_CAP, else OverflowLimitError when cap leaves 64 bits.
     """
-    _check_profile(size, cap, length)
-    _within_cap(length, "profile length {}", length)
-    _checked_bound(cap, "cap")
+    if not (cap >= 1 and length >= 1 and 0 <= size <= cap * length
+            and length <= residues.ENUMERATION_CAP and cap <= INT64_MAX):
+        _check_profile(size, cap, length)  # one of the three raises
+        _within_cap(length, "profile length {}", length)
+        _checked_bound(cap, "cap")
     filled, leftover = divmod(size, cap)
     zeros = length - filled - 1
     return ExtremalProfile(values=(0,) * zeros + (leftover,) * (zeros >= 0) + (cap,) * filled)
@@ -84,6 +92,7 @@ def extremal_profile(size: int, cap: int, length: int) -> ExtremalProfile:
 
 BoundResult = collections.namedtuple("BoundResult", ("lower_bound", "case_tag"))
 BoundResult.__doc__ = "A proven floor on the solution count, tagged by which case produced it."
+_new = tuple.__new__  # builds a BoundResult without its generated __new__
 
 
 def extremal_sum(
@@ -114,13 +123,16 @@ def extremal_sum(
 def _pairing_floor(
     size_a: int, cap_a: int, size_b: int, cap_b: int, length: int
 ) -> BoundResult:
-    """extremal_sum's closed form on arguments its callers have validated."""
-    filled_a, leftover_a = divmod(size_a, cap_a)
-    filled_b, leftover_b = divmod(size_b, cap_b)
+    """extremal_sum's closed form, called by extremal_sum and bound_arbitrary
+    once their guards have passed, so its arguments are already validated.
+    The leftovers are worked out only past the empty case."""
+    filled_a = size_a // cap_a
+    filled_b = size_b // cap_b
     span = filled_a + filled_b + 1
-    # tuple.__new__ builds the same BoundResult without its generated __new__
     if span < length:
-        return tuple.__new__(BoundResult, (0, CASE_EMPTY))
+        return _new(BoundResult, (0, CASE_EMPTY))
+    leftover_a = size_a - filled_a * cap_a
+    leftover_b = size_b - filled_b * cap_b
     if span == length:
         value, tag = leftover_a * leftover_b, CASE_BOUNDARY
     else:
@@ -132,7 +144,7 @@ def _pairing_floor(
         tag = CASE_OVERLAP
     if value > INT64_MAX:
         _checked_bound(value)
-    return tuple.__new__(BoundResult, (value, tag))
+    return _new(BoundResult, (value, tag))
 
 
 def _check_sizes(m: int, n: int, size_a: int, size_b: int) -> None:
@@ -179,7 +191,8 @@ def bound_intervals(m: int, n: int, size_a: int, size_b: int) -> int:
         _check_sizes(m, n, size_a, size_b)
     g = math.gcd(m, n)
     blocks, rem_a, rem_b = interval_block_pairs(size_a, size_b, g)
-    value = blocks + max(0, rem_a + rem_b - g)
+    extra = rem_a + rem_b - g
+    value = blocks + extra if extra > 0 else blocks
     if value > INT64_MAX:
         _checked_bound(value)
     return value

@@ -33,6 +33,7 @@ from crtcount.residues import (
 )
 
 from brute_force import rearrangement_bounds
+from opcodes import opcodes_run
 
 
 def test_extremal_profile_pinned():
@@ -373,17 +374,74 @@ def test_extremal_sum_refuses_exactly_as_check_profile(size_a, cap_a, size_b, ca
 
 
 def test_valid_arguments_never_reach_the_refusal_checks(monkeypatch):
-    # the checks are for refusing; a call they would pass skips them entirely
-    def unexpected(*args):
-        raise AssertionError(f"refusal check called on {args}")
-
-    monkeypatch.setattr(bounds, "_check_sizes", unexpected)
-    monkeypatch.setattr(bounds, "_check_profile", unexpected)
+    # The checks are for refusing; a call they would pass skips them entirely.
+    # Every size-only entry tests its passing case inline, from small values up
+    # to 2**62 and INT64_MAX, at a size equal to cap * length and at a profile
+    # length equal to ENUMERATION_CAP (lowered here so nothing large is built).
+    monkeypatch.setattr(residues, "ENUMERATION_CAP", 8)
+    size_only = (bound_arbitrary, bound_intervals, density_guarantee)
+    calls = []
     for m in range(1, 13):
         for n in range(1, 13):
             for size_a in range(m + 1):
                 for size_b in range(n + 1):
-                    bound_arbitrary(m, n, size_a, size_b)
-                    bound_intervals(m, n, size_a, size_b)
-                    density_guarantee(m, n, size_a, size_b)
-                    extremal_sum(size_a, m, size_b, n, 1)
+                    calls += [(function, m, n, size_a, size_b) for function in size_only]
+                    calls.append((extremal_sum, size_a, m, size_b, n, 1))
+    tops = (2, 3, 10**6, 2**31, 2**62, INT64_MAX)
+    for m in tops:
+        for n in tops:
+            for sizes in {(1, 0), (m // 3 + 1, n // 3 + 1), (m // 2, n), (m, n)}:
+                calls += [(function, m, n, *sizes) for function in size_only]
+    for cap in (1,) + tops:
+        for length in (1, 2, 8):
+            full = cap * length
+            for size in {0, 1, cap, full - 1, full}:
+                calls.append((extremal_profile, size, cap, length))
+                calls.append((extremal_sum, size, cap, full - size, cap, length))
+                calls.append((extremal_sum, 1, 1, size, cap, length))
+    expected = {}
+    for call in calls:
+        try:
+            expected[call] = call[0](*call[1:])
+        except OverflowLimitError:  # a floor past 64 bits: validated, then refused
+            pass
+    assert sum(INT64_MAX in call for call in expected) > 50
+
+    def unexpected(*args):
+        raise AssertionError(f"refusal check called on {args}")
+
+    for name in ("_check_sizes", "_check_profile", "_within_cap", "_checked_bound"):
+        monkeypatch.setattr(bounds, name, unexpected)
+    for (function, *args), result in expected.items():
+        assert function(*args) == result, (function.__name__, args)
+
+
+def test_floors_run_a_constant_number_of_opcodes():
+    # O(1) in the moduli: with the case held fixed, each floor runs the same
+    # work from moduli near 10**2 to 2**62. math.gcd, divmod, the integer
+    # arithmetic and the profile's tuple repetition run in C, so their cost on
+    # larger ints is not counted. A ratio, not a count, since the counts
+    # differ between Python versions.
+    scales = [10**k for k in range(2, 19)] + [2**62]
+    cases = {
+        ("bound_arbitrary", CASE_EMPTY): lambda m: bound_arbitrary(m, m, 1, 1),
+        ("bound_arbitrary", CASE_BOUNDARY): lambda m: bound_arbitrary(m, m, m // 2, m - 1 - m // 2),
+        ("bound_arbitrary", CASE_OVERLAP): lambda m: bound_arbitrary(m, m, m, m),
+        ("extremal_sum", CASE_EMPTY): lambda m: extremal_sum(1, m, 1, m, 3),
+        ("extremal_sum", CASE_BOUNDARY): lambda m: extremal_sum(m + 1, m, 1, m, 2),
+        ("extremal_sum", CASE_OVERLAP): lambda m: extremal_sum(1, 1, m, m, 1),
+        # the interval floor's case: whether the leftover arcs must overlap
+        ("bound_intervals", "apart"): lambda m: bound_intervals(m, m, 1, 1),
+        ("bound_intervals", "overlap"): lambda m: bound_intervals(m, m, m - 1, m - 1),
+        # the profile's case: whether a leftover entry has a slot
+        ("extremal_profile", "partial"): lambda m: extremal_profile(3 * m + 1, m, 4),
+        ("extremal_profile", "full"): lambda m: extremal_profile(4 * m, m, 4),
+    }
+    for (name, tag), call in cases.items():
+        for m in scales:
+            result = call(m)
+            if name in ("bound_arbitrary", "extremal_sum"):
+                assert result.case_tag == tag, (name, tag, m)
+        counts = [opcodes_run(lambda: call(m)) for m in scales]
+        assert min(counts) > 0
+        assert max(counts) <= 1.1 * min(counts), (name, tag, counts)

@@ -24,6 +24,7 @@ from crtcount.congruence import (
     CongruenceSystem,
     OverflowLimitError,
     SolutionClass,
+    _checked_bound,
     _lift,
     checked_mul,
     solve,
@@ -52,6 +53,15 @@ def test_checked_mul_overflow():
     with pytest.raises(OverflowLimitError):
         checked_mul(-(2**62), -3)
 
+
+
+def test_checked_bound_refuses_only_past_the_range():
+    # the floors call it only once a value is past INT64_MAX, so its own edge
+    # is pinned here
+    _checked_bound(INT64_MAX)
+    _checked_bound(0, "cap")
+    with pytest.raises(OverflowLimitError, match="^cap 9223372036854775808 exceeds the 64-bit"):
+        _checked_bound(INT64_MAX + 1, "cap")
 
 NINES = int("9" * 4300)  # the most digits str() accepts by default; products have more
 

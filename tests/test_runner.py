@@ -4,7 +4,6 @@ import ast
 import copy
 import math
 import pickle
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from brute_force import (
     crt_pairing_witness,
     earliest_grid_time,
 )
+from opcodes import opcodes_run
 
 
 def test_distant_interval_golden():
@@ -270,34 +270,6 @@ def test_witness_guard_stays_off_the_passing_path(monkeypatch):
         assert two_runner_witness(RunnerPair(*speeds)) == witness
 
 
-def _opcodes_run(call):
-    """Bytecode instructions run in crtcount's own frames during call()."""
-    package = str(Path(runner.__file__).parent)
-
-    def local(frame, event, arg):
-        nonlocal count
-        count += event == "opcode"
-        return local
-
-    def tracer(frame, event, arg):
-        if not frame.f_code.co_filename.startswith(package):
-            return None
-        frame.f_trace_opcodes = True
-        return local
-
-    # From 3.12 the first call traced this way can miss opcode events, so a
-    # traced warm-up call runs before the counted one.
-    previous = sys.gettrace()
-    for _ in range(2):
-        count = 0
-        sys.settrace(tracer)  # this thread only
-        try:
-            call()
-        finally:
-            sys.settrace(previous)
-    return count
-
-
 def test_witness_runs_a_constant_number_of_opcodes():
     # O(1) in the speeds: the same work from speeds near 10 to 10**9 and at the
     # 64-bit edge. math.gcd runs in C, so its cost on larger ints is not counted.
@@ -305,7 +277,7 @@ def test_witness_runs_a_constant_number_of_opcodes():
     pairs = [RunnerPair(10**k, 10**k + 1) for k in range(1, 10)]
     pairs += [RunnerPair(10**k + 3, 2 * 10**k) for k in range(1, 10)]
     pairs += [RunnerPair(999999999, 10**9), RunnerPair(1, EDGE), RunnerPair(EDGE // 2, 2)]
-    counts = [_opcodes_run(lambda: two_runner_witness(pair)) for pair in pairs]
+    counts = [opcodes_run(lambda: two_runner_witness(pair)) for pair in pairs]
     assert min(counts) > 0
     assert max(counts) <= 1.1 * min(counts), counts
 

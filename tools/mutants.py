@@ -44,8 +44,38 @@ MUTANTS = [
     (
         "bound_intervals leftover overlap",
         "bounds.py",
-        "value = blocks + max(0, rem_a + rem_b - g)\n",
-        "value = blocks + max(0, rem_a + rem_b - g + 1)\n",
+        "    extra = rem_a + rem_b - g\n",
+        "    extra = rem_a + rem_b - g + 1\n",
+    ),
+    (
+        "extremal_profile guard sends a full profile to the refusal checks",
+        "bounds.py",
+        "0 <= size <= cap * length\n",
+        "0 <= size < cap * length\n",
+    ),
+    (
+        "extremal_profile guard sends a length at the cap to the refusal checks",
+        "bounds.py",
+        "length <= residues.ENUMERATION_CAP",
+        "length < residues.ENUMERATION_CAP",
+    ),
+    (
+        "extremal_profile guard sends a cap at INT64_MAX to the refusal checks",
+        "bounds.py",
+        "cap <= INT64_MAX):",
+        "cap < INT64_MAX):",
+    ),
+    (
+        "pairing floor leftover takes the other side's cap",
+        "bounds.py",
+        "leftover_a = size_a - filled_a * cap_a\n",
+        "leftover_a = size_a - filled_a * cap_b\n",
+    ),
+    (
+        "pairing floor leftover takes the other side's filled count",
+        "bounds.py",
+        "leftover_b = size_b - filled_b * cap_b\n",
+        "leftover_b = size_b - filled_a * cap_b\n",
     ),
     (
         "arc overlap past the top",
@@ -419,6 +449,13 @@ MUTANTS = [
 # Edits that cannot change any result, each with the reason; listed and
 # matched like MUTANTS, never run. (name, file, old text, new text, reason)
 EQUIVALENT = [
+    (
+        "interval floor adds a zero leftover overlap",
+        "bounds.py",
+        "if extra > 0 else blocks",
+        "if extra >= 0 else blocks",
+        "when extra == 0 both branches give blocks",
+    ),
     (
         "witness near side at exactly half the period",
         "runner.py",
