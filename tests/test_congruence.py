@@ -54,7 +54,6 @@ def test_checked_mul_overflow():
         checked_mul(-(2**62), -3)
 
 
-
 def test_checked_bound_refuses_only_past_the_range():
     # the floors call it only once a value is past INT64_MAX, so its own edge
     # is pinned here
@@ -62,6 +61,7 @@ def test_checked_bound_refuses_only_past_the_range():
     _checked_bound(0, "cap")
     with pytest.raises(OverflowLimitError, match="^cap 9223372036854775808 exceeds the 64-bit"):
         _checked_bound(INT64_MAX + 1, "cap")
+
 
 NINES = int("9" * 4300)  # the most digits str() accepts by default; products have more
 

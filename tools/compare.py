@@ -7,10 +7,11 @@ perfbench/run.py on the two trees over N pairs, each pair on a fresh seed
 shared by both sides, alternating which side runs first, and prints one table
 per workload:
 
-    python3 tools/compare.py --workload bounds --pairs 10 --seconds 25 --seed 7001
+    python3 tools/compare.py --workload bounds --pairs 10 --seed 7001
 
-The change is --head (default HEAD) and the base is --base (default the
-head's parent); both take any revision git knows, so uncommitted work can be
+Each run lasts --seconds, by default BENCHMARK.json's run_seconds. The
+change is --head (default HEAD) and the base is --base (default the head's
+parent); both take any revision git knows, so uncommitted work can be
 measured through `git stash create`. For each end-to-end metric in
 BENCHMARK.json a row gives the two medians, the base's interquartile range,
 the relative change of the medians, the pairs the change won and a verdict:
@@ -20,7 +21,7 @@ not every head run beat every base run; "gain" when there were at least 10
 pairs, the change won at least 9 in 10 of them and its median moved the right
 way by more than the base's IQR; else "within bound".
 No gain is reported when any run printed "correct": false or when the two
-sides' "failed" counts differ.
+sides' "failed" counts differ on a seed.
 
 Standard library only; not part of tier-1 (tests/test_compare.py checks the
 summary arithmetic). Exit status 0 when no metric is worse beyond its bound
@@ -59,7 +60,7 @@ def summarize(base: list[float], head: list[float], better: str, bound: float) -
     apart = min(head) > max(base) if sign > 0 else max(head) < min(base)  # every run better
     if -sign * change > bound:
         verdict = "worse beyond bound"
-    elif q3 - q1 > bound * abs(base_median) and not apart:
+    elif q3 - q1 > bound * base_median and not apart:
         verdict = "unresolved"  # the base's own spread is wider than the bound
     elif (
         len(base) >= GAIN_PAIRS
@@ -166,7 +167,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", nargs="+", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25)
+    parser.add_argument("--seconds", type=float, help="default: BENCHMARK.json's run_seconds")
     parser.add_argument("--seed", type=int, required=True, help="pair i runs on seed + i")
     parser.add_argument("--head", default="HEAD")
     parser.add_argument("--base", help="default: the head's parent")
@@ -174,6 +175,8 @@ def main() -> int:
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    if args.seconds is None:
+        args.seconds = spec["run_seconds"]
 
     try:
         revisions = {
