@@ -1,5 +1,5 @@
-"""The summary arithmetic of tools/compare.py, on fixed inputs (the driver itself runs
-the benchmark and is not run here)."""
+"""The summary arithmetic of tools/compare.py, on fixed inputs; the script's
+benchmark runs are not made here."""
 
 import importlib.util
 from pathlib import Path
