@@ -9,10 +9,10 @@ per workload:
 
     python3 tools/compare.py --workload bounds --pairs 10 --seed 7001
 
-Each run lasts --seconds, by default BENCHMARK.json's run_seconds. The
-change is --head (default HEAD) and the base is --base (default the head's
-parent); both take any revision git knows, so uncommitted work can be
-measured through `git stash create`. For each end-to-end metric in
+Each run lasts BENCHMARK.json's run_seconds. The change is --head (default
+HEAD) and the base is --base (default the head's parent); both take any
+revision git knows, so uncommitted work can be measured through
+`git stash create`. For each end-to-end metric in
 BENCHMARK.json a row gives the two medians, the base's interquartile range,
 the relative change of the medians, the pairs the change won and a verdict:
 "worse beyond bound" when the median moved the wrong way by more than the
@@ -23,8 +23,9 @@ way by more than the base's IQR; else "within bound".
 No gain is reported when any run printed "correct": false or when the two
 sides' "failed" counts differ on a seed.
 
-Standard library only; not part of tier-1 (tests/test_compare.py checks the
-summary arithmetic). Exit status 0 when no metric is worse beyond its bound
+Standard library only; it needs CPython 3.10.12+ or 3.11.4+, whose tarfile
+takes extractall's filter. Not part of tier-1 (tests/test_compare.py checks
+the summary arithmetic). Exit status 0 when no metric is worse beyond its bound
 and every run could be trusted, 1 otherwise, 2 when a run or git failed.
 """
 
@@ -117,14 +118,14 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def compare(trees: dict[str, Path], workload: str, args) -> dict[str, list[dict]]:
+def compare(trees: dict[str, Path], workload: str, seconds: float, args) -> dict[str, list[dict]]:
     """Both sides' results over args.pairs seeds, the first side alternating."""
     runs: dict[str, list[dict]] = {"base": [], "head": []}
     for pair in range(args.pairs):
         seed = args.seed + pair
         order = ("base", "head") if pair % 2 == 0 else ("head", "base")
         for side in order:
-            runs[side].append(run_once(trees[side], workload, seed, args.seconds))
+            runs[side].append(run_once(trees[side], workload, seed, seconds))
         rates = ", ".join(
             f"{side} {runs[side][-1]['metrics']['ops_per_s']['value']:.6g} ops/s" for side in order
         )
@@ -167,7 +168,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", nargs="+", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, help="default: BENCHMARK.json's run_seconds")
     parser.add_argument("--seed", type=int, required=True, help="pair i runs on seed + i")
     parser.add_argument("--head", default="HEAD")
     parser.add_argument("--base", help="default: the head's parent")
@@ -175,8 +175,6 @@ def main() -> int:
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    if args.seconds is None:
-        args.seconds = spec["run_seconds"]
 
     try:
         revisions = {
@@ -186,7 +184,7 @@ def main() -> int:
         revisions = {side: revision.decode().strip() for side, revision in revisions.items()}
         print(
             f"base {revisions['base']}, head {revisions['head']}; "
-            f"{args.pairs} pairs of --seconds {args.seconds:g}"
+            f"{args.pairs} pairs of {spec['run_seconds']:g} s"
         )
         ok = True
         with tempfile.TemporaryDirectory(prefix="crtcount-compare-") as scratch:
@@ -194,12 +192,12 @@ def main() -> int:
             for side, revision in revisions.items():
                 build_tree(revision, trees[side])
             for workload in args.workload:
-                runs = compare(trees, workload, args)
+                runs = compare(trees, workload, spec["run_seconds"], args)
                 ok = report(workload, runs, spec["end_to_end"]) and ok
     except subprocess.CalledProcessError as exc:
         print(f"error: {exc.stderr.decode().strip()}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, TypeError, ValueError) as exc:  # failed run, old tarfile, no JSON line
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if ok else 1
