@@ -9,8 +9,11 @@ goes to stderr as `error: <message>` or the record {"status": "error",
 "message": ...}. Exit status is 0 when the record's status is "ok", 1 when the
 system has no solution or the request is infeasible, and 2 on usage errors and
 overflow refusals. run reads a plain call (flags as the table spells them,
-each value after a space or an "=") from its row without loading argparse;
-help, usage errors and other spellings go to the parser built from the rows.
+each value after a space or an "=") without loading argparse, against its
+row's _reader: flag to (dest, converter, choices, store_true), the
+positionals in order and the dests to default or require, derived from the
+row once, on its first call. Help, usage errors and other spellings go to
+the parser built from the rows.
 """
 
 
@@ -89,21 +92,21 @@ def _int_pair(text: str, sep: str, message: str) -> tuple[int, int]:
 
 
 def _emit(json_mode: bool, record: dict, lines: list[str] | None, file) -> None:
-    """Print the record as JSON, or as text: the given lines, else one per field."""
+    """Write the record as JSON, or as text: the given lines, else one per field."""
     if json_mode:
         import json  # only --json output needs it
 
-        print(json.dumps(record), file=file)
+        file.write(json.dumps(record) + "\n")
     elif lines is None:
         for key, value in record.items():
             if key != "status":
                 if isinstance(value, (list, tuple)):
                     # repr writes the entries one at a time; a join holds every entry's str at once
                     value = repr(value)[1:-1].replace(",", "")
-                print(f"{key} = {value}", file=file)
+                file.write(f"{key} = {value}\n")
     else:
         for line in lines:
-            print(line, file=file)
+            file.write(line + "\n")
 
 
 def _cmd_solve(args: SimpleNamespace) -> tuple[dict, list[str]]:
@@ -233,23 +236,48 @@ _SUBCOMMANDS = {
 }
 
 
-def _value(keywords: dict, token: str):
+@functools.cache
+def _reader(name: str) -> tuple:
+    """Row name as _plain reads it, derived on first use: (flags, positionals,
+    switches, options).
+
+    flags maps each flag to (dest, converter, choices, store_true);
+    positionals are (name, converter, choices, nargs is "+") in row order;
+    switches and options are the dests of the store_true flags and of the
+    value-taking ones.
+    """
+    flags, positionals, switches, options = {}, [], [], []
+    for flag, keywords in _SUBCOMMANDS[name][2]:
+        convert, choices = keywords.get("type", str), keywords.get("choices")
+        if flag[0] != "-":
+            positionals.append((flag, convert, choices, keywords.get("nargs") == "+"))
+            continue
+        dest = keywords.get("dest", flag[2:])
+        store_true = keywords.get("action") == "store_true"
+        flags[flag] = (dest, convert, choices, store_true)
+        (switches if store_true else options).append(dest)
+    return flags, tuple(positionals), tuple(switches), tuple(options)
+
+
+def _value(convert, choices, token: str):
     """token converted and checked as argparse would, refused when it starts with "-"."""
-    value = keywords.get("type", str)(token)
-    if token[:1] == "-" or "choices" in keywords and value not in keywords["choices"]:
+    value = convert(token)
+    if token[:1] == "-" or choices is not None and value not in choices:
         raise ValueError(token)
     return value
 
 
-def _plain(arguments: tuple, tokens: list[str]) -> SimpleNamespace | None:
+def _plain(reader: tuple, tokens: list[str]) -> SimpleNamespace | None:
     """What the subparser reads from tokens in their plain shape, else None.
 
     Plain: flags exactly as the table spells them, each value after a space
     or an "=" and not starting with "-", the other tokens filling the
     positionals in order (an nargs="+" one from one unbroken run), every value
     converting and every value-taking option given. argparse reads the rest.
+    reader is the row's _reader.
     """
-    spec, values, words, runs, in_run = dict(arguments), {}, [], 0, False
+    flags, positionals, switches, options = reader
+    values, words, runs, in_run = {}, [], 0, False
     tokens = iter(tokens)
     try:
         for token in tokens:
@@ -259,27 +287,26 @@ def _plain(arguments: tuple, tokens: list[str]) -> SimpleNamespace | None:
                 words.append(token)
                 continue
             flag, joined, value = token.partition("=")
-            keywords = spec[flag]  # KeyError: not one of the row's flags
+            dest, convert, choices, store_true = flags[flag]  # KeyError: not the row's flag
             in_run = False
-            store_true = keywords.get("action") == "store_true"
-            if store_true and joined:  # argparse refuses it
-                return None
-            # a store_true flag reads True; a missing value reads as "-", which _value refuses
-            values[keywords.get("dest", flag[2:])] = store_true or _value(
-                keywords, value if joined else next(tokens, "-")
-            )
-        for name, keywords in arguments:
-            if name[0] == "-":  # an unseen flag reads False; an unseen option defers
-                dest = keywords.get("dest", name[2:])
-                if dest not in values and keywords.get("action") != "store_true":
+            if store_true:
+                if joined:  # argparse refuses it
                     return None
-                values.setdefault(dest, False)
-            elif keywords.get("nargs") != "+":
-                values[name] = _value(keywords, words.pop(0))  # IndexError: too few
+                values[dest] = True
+            else:  # a missing value reads as "-", which _value refuses
+                values[dest] = _value(convert, choices, value if joined else next(tokens, "-"))
+        for dest in options:  # an unseen option defers
+            if dest not in values:
+                return None
+        for dest in switches:  # an unseen flag reads False
+            values.setdefault(dest, False)
+        for name, convert, choices, many in positionals:
+            if not many:
+                values[name] = _value(convert, choices, words.pop(0))  # IndexError: too few
             elif runs > 1 or not words:  # it takes every remaining word, from one run
                 return None
             else:
-                values[name] = [_value(keywords, word) for word in words]
+                values[name] = [_value(convert, choices, word) for word in words]
                 words = []
     except (LookupError, ValueError):
         return None
@@ -327,7 +354,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv, dispatch, print the result or refusal, and return the exit status."""
     argv = sys.argv[1:] if argv is None else list(argv)
     name = argv[0] if argv else None
-    args = _plain(_SUBCOMMANDS[name][2], argv[1:]) if name in _SUBCOMMANDS else None
+    args = _plain(_reader(name), argv[1:]) if name in _SUBCOMMANDS else None
     try:
         if args is None:  # help, usage errors and unusual spellings: argparse reads argv
             args = _build_parser().parse_args(argv, SimpleNamespace())

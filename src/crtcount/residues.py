@@ -5,7 +5,8 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
+from operator import eq
 
 from .congruence import SolutionClass, _lift, _positive, _shown, _solution_classes, _Value
 from .congruence import checked_mul
@@ -56,7 +57,7 @@ class ResidueSet(_Value):
                 raise ValueError(
                     f"residue {_shown(residue)} out of range [0, {_shown(modulus)})"
                 )
-        if any(low == high for low, high in zip(ordered, ordered[1:])):
+        if any(map(eq, ordered, islice(ordered, 1, None))):  # sorted: a duplicate is adjacent
             raise ValueError("duplicate residues in collection")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "members", ordered)

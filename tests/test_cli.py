@@ -65,6 +65,33 @@ def test_parse_errors_name_the_token():
         parse_collection("{1}", 0)
 
 
+@pytest.mark.parametrize(
+    "text, modulus, message",
+    [
+        ("{1,1,x}", 6, "duplicate residue '1' in '{1,1,x}' (mod 6)"),
+        ("{x,1,1}", 6, "malformed residue 'x' in '{x,1,1}'"),
+        ("{1,7,x}", 6, "duplicate residue '7' in '{1,7,x}' (mod 6)"),
+        ("{ 2 , 8 }", 6, "duplicate residue '8' in '{ 2 , 8 }' (mod 6)"),
+        ("{ 2 , x }", 6, "malformed residue 'x' in '{ 2 , x }'"),
+        ("{1,,2}", 6, "malformed residue '' in '{1,,2}'"),
+        ("{1, }", 6, "malformed residue '' in '{1, }'"),
+    ],
+)
+def test_parse_reports_the_first_bad_token_in_order(text, modulus, message):
+    # each token is named as stripped, whichever of the two faults comes first
+    with pytest.raises(ValueError) as caught:
+        parse_collection(text, modulus)
+    assert str(caught.value) == message
+
+
+def test_parse_strips_every_padding_that_str_strip_removes():
+    # int() refuses the separators \x1c-\x1f that strip() removes, so each
+    # token is stripped before it is converted
+    assert parse_collection("{\x1c2\x1f, 3\t}", 6) == ResidueSet(6, (2, 3))
+    with pytest.raises(ValueError, match=r"duplicate residue '8'"):
+        parse_collection("{\x1d2,8}", 6)
+
+
 def test_solve_text_example():
     assert invoke("solve", "2:3", "3:5") == (0, "x ≡ 8 (mod 15)\n", "")
 
@@ -491,7 +518,7 @@ def test_subcommand_dispatch_prints_what_the_full_parser_prints(monkeypatch, arg
     monkeypatch.setenv("COLUMNS", "80")
     direct = invoke(*argv)
     # with the plain reader deferring on every call, each one goes through parse_args
-    monkeypatch.setattr(cli, "_plain", lambda arguments, tokens: None)
+    monkeypatch.setattr(cli, "_plain", lambda reader, tokens: None)
     assert invoke(*argv) == direct
 
 
@@ -536,9 +563,43 @@ def _subparser(name):
     return subparsers.choices[name]
 
 
+@pytest.mark.parametrize("name", sorted(cli._SUBCOMMANDS))
+def test_reader_table_agrees_with_the_rows(name):
+    flags, positionals, switches, options = cli._reader(name)
+    row = dict(cli._SUBCOMMANDS[name][2])
+    actions = [action for action in _subparser(name)._actions if action.dest != "help"]
+    # flags: each as the row spells it, with argparse's dest and choices and the
+    # row's own converter; a store_true flag marked, its dest among the switches
+    spelled = [action for action in actions if action.option_strings]
+    assert list(flags) == [flag for action in spelled for flag in action.option_strings]
+    for action in spelled:
+        (flag,) = action.option_strings
+        store_true = isinstance(action, argparse._StoreTrueAction)
+        convert = row[flag].get("type", str)
+        assert flags[flag] == (action.dest, convert, action.choices, store_true)
+    assert switches == tuple(a.dest for a in spelled if isinstance(a, argparse._StoreTrueAction))
+    assert options == tuple(a.dest for a in spelled if not isinstance(a, argparse._StoreTrueAction))
+    # positionals in row order, each with the row's converter and choices and its nargs="+" mark
+    named = [action for action in actions if not action.option_strings]
+    assert [entry[0] for entry in positionals] == [action.dest for action in named]
+    for (dest, convert, choices, many), action in zip(positionals, named):
+        assert convert is row[dest].get("type", str)
+        assert choices == action.choices == row[dest].get("choices")
+        assert many == (action.nargs == "+")
+
+
+def test_reader_table_pins_the_rows_that_differ():
+    assert cli._reader("tightness")[0]["--M"] == ("scale", int, None, False)
+    assert cli._reader("tightness")[2:] == (("json",), ("scale",))
+    assert cli._reader("count")[2:] == (("json", "enumerate"), ())
+    assert cli._reader("bound")[1][0] == ("mode", str, ("arbitrary", "interval"), False)
+    assert cli._reader("solve")[1] == (("congruences", str, None, True),)
+    assert cli._reader("runner")[0]["--speeds"] == ("speeds", str, None, False)
+
+
 def _agrees_with_argparse(name, tokens):
     """Whether _plain reads tokens; if it does, it must read them as the subparser does."""
-    read = cli._plain(cli._SUBCOMMANDS[name][2], list(tokens))
+    read = cli._plain(cli._reader(name), list(tokens))
     if read is not None:
         with redirect_stdout(io.StringIO()), redirect_stderr(err := io.StringIO()):
             try:
@@ -590,7 +651,7 @@ def test_plain_reader_reads_every_valid_call(argv):
 )
 def test_plain_reader_leaves_other_shapes_to_argparse(argv):
     name, *tokens = argv
-    assert cli._plain(cli._SUBCOMMANDS[name][2], tokens) is None
+    assert cli._plain(cli._reader(name), tokens) is None
 
 
 def _texts(ints, modes):

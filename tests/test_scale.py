@@ -53,3 +53,29 @@ def test_floors_hold_on_intervals_at_scale(pair):
     assert arbitrary == extremal_sum(size_a, m // g, size_b, n // g, g)
     if density_guarantee(m, n, size_a, size_b):
         assert interval >= 1
+
+
+def complement(arc):
+    """The arc's complement: the other modulus - length classes, from where it ends."""
+    return CyclicInterval(arc.modulus, arc.start + arc.length, arc.modulus - arc.length)
+
+
+def shifted(arc, t):
+    return CyclicInterval(arc.modulus, arc.start + t, arc.length)
+
+
+@settings(max_examples=1000)
+@given(interval_pairs(), STARTS)
+def test_counts_keep_their_relations_on_intervals_at_scale(pair, t):
+    a, b = pair
+    m, n = a.modulus, b.modulus
+    g = math.gcd(m, n)
+    count = exact_count(a, b)
+    # each member of A meets n/g classes mod n, one per lift, so B and its
+    # complement split |A| * n/g solutions between them
+    assert count + exact_count(a, complement(b)) == a.size * (n // g)
+    assert count + exact_count(complement(a), b) == b.size * (m // g)
+    # x -> x + t permutes the classes mod lcm(m, n), and the count reads
+    # "x in A and x in B" whichever collection comes first
+    assert exact_count(shifted(a, t), shifted(b, t)) == count
+    assert exact_count(b, a) == count

@@ -333,8 +333,8 @@ MUTANTS = [
     (
         "plain reader takes an option value starting with a dash",
         "cli.py",
-        'if token[:1] == "-" or "choices" in keywords',
-        'if "choices" in keywords',
+        'if token[:1] == "-" or choices is not None',
+        "if choices is not None",
     ),
     (
         "plain reader lets a broken nargs=+ run through",
@@ -345,25 +345,25 @@ MUTANTS = [
     (
         "plain reader drops the choices check",
         "cli.py",
-        ' or "choices" in keywords and value not in keywords["choices"]:',
+        " or choices is not None and value not in choices:",
         ":",
     ),
     (
         "plain reader reads an unseen value-taking option as False",
         "cli.py",
-        'if dest not in values and keywords.get("action") != "store_true":',
-        "if False:",
+        "            if dest not in values:\n                return None\n",
+        "            values.setdefault(dest, False)\n",
     ),
     (
         "plain reader ignores a row's dest",
         "cli.py",
-        'values[keywords.get("dest", flag[2:])] =',
-        "values[flag[2:]] =",
+        'dest = keywords.get("dest", flag[2:])',
+        "dest = flag[2:]",
     ),
     (
         "plain reader reads a store_true flag given = as set",
         "cli.py",
-        "            if store_true and joined:  # argparse refuses it\n                return None\n",
+        "                if joined:  # argparse refuses it\n                    return None\n",
         "",
     ),
     (
@@ -375,8 +375,33 @@ MUTANTS = [
     (
         "plain reader drops a store_true flag's False default",
         "cli.py",
-        "                values.setdefault(dest, False)\n",
+        "        for dest in switches:  # an unseen flag reads False\n"
+        "            values.setdefault(dest, False)\n",
         "",
+    ),
+    (
+        "reader table drops the nargs=+ mark",
+        "cli.py",
+        'keywords.get("nargs") == "+"',
+        "False",
+    ),
+    (
+        "set parse reports the unstripped token",
+        "cli.py",
+        "                token = token.strip()\n",
+        "",
+    ),
+    (
+        "set parse lets a duplicate through",
+        "cli.py",
+        "                if residue in seen:\n",
+        "                if False:\n",
+    ),
+    (
+        "residue set drops its duplicate check",
+        "residues.py",
+        "if any(map(eq, ordered, islice(ordered, 1, None))):",
+        "if False:",
     ),
     (
         "cli imports argparse at module level",
