@@ -19,14 +19,11 @@ import collections
 import math
 
 from . import residues
-from .congruence import INT64_MAX, _checked_bound, _positive, _shown, _Value, checked_mul
-from .residues import CyclicInterval, _within_cap, interval_block_pairs
+from .congruence import INT64_MAX, _checked_mul, _positive, _refuse_bound, _shown, _Value
+from .residues import CyclicInterval, _interval_block_pairs, _within_cap
 
 __all__ = [
     "BoundResult",
-    "CASE_BOUNDARY",
-    "CASE_EMPTY",
-    "CASE_OVERLAP",
     "ExtremalProfile",
     "InfeasibleError",
     "bound_arbitrary",
@@ -36,11 +33,6 @@ __all__ = [
     "extremal_sum",
     "tightness_instance",
 ]
-
-CASE_EMPTY = "empty"
-CASE_BOUNDARY = "boundary"
-CASE_OVERLAP = "overlap"
-
 
 class InfeasibleError(ValueError):
     """No admissible sequence exists for the requested size, cap, and length."""
@@ -82,9 +74,9 @@ def extremal_profile(size: int, cap: int, length: int) -> ExtremalProfile:
     """
     if not (cap >= 1 and length >= 1 and 0 <= size <= cap * length
             and length <= residues.ENUMERATION_CAP and cap <= INT64_MAX):
-        _check_profile(size, cap, length)  # one of the three raises
+        _check_profile(size, cap, length)  # the first of the three to fail raises
         _within_cap(length, "profile length {}", length)
-        _checked_bound(cap, "cap")
+        _refuse_bound(cap, "cap")
     filled, leftover = divmod(size, cap)
     zeros = length - filled - 1
     return ExtremalProfile(values=(0,) * zeros + (leftover,) * (zeros >= 0) + (cap,) * filled)
@@ -130,20 +122,20 @@ def _pairing_floor(
     filled_b = size_b // cap_b
     span = filled_a + filled_b + 1
     if span < length:
-        return _new(BoundResult, (0, CASE_EMPTY))
+        return _new(BoundResult, (0, "empty"))
     leftover_a = size_a - filled_a * cap_a
     leftover_b = size_b - filled_b * cap_b
     if span == length:
-        value, tag = leftover_a * leftover_b, CASE_BOUNDARY
+        value, tag = leftover_a * leftover_b, "boundary"
     else:
         value = (
             (span - length - 1) * cap_a * cap_b
             + leftover_a * cap_b
             + leftover_b * cap_a
         )
-        tag = CASE_OVERLAP
+        tag = "overlap"
     if value > INT64_MAX:
-        _checked_bound(value)
+        _refuse_bound(value)
     return _new(BoundResult, (value, tag))
 
 
@@ -181,7 +173,7 @@ def bound_intervals(m: int, n: int, size_a: int, size_b: int) -> int:
 
     Both sizes decompose by g = gcd(m, n). Each full block of g consecutive
     classes covers every class modulo g once, so full blocks pair off exactly
-    (residues.interval_block_pairs, shared with exact_count); the two leftover
+    (residues._interval_block_pairs, shared with exact_count); the two leftover
     arcs of lengths rem_a, rem_b < g must still meet in at least
     rem_a + rem_b - g classes modulo g when that is positive, and do meet in
     exactly that many at the worst relative shift. Raises OverflowLimitError
@@ -190,11 +182,11 @@ def bound_intervals(m: int, n: int, size_a: int, size_b: int) -> int:
     if not (m >= 1 and n >= 1 and 0 <= size_a <= m and 0 <= size_b <= n):
         _check_sizes(m, n, size_a, size_b)
     g = math.gcd(m, n)
-    blocks, rem_a, rem_b = interval_block_pairs(size_a, size_b, g)
+    blocks, rem_a, rem_b = _interval_block_pairs(size_a, size_b, g)
     extra = rem_a + rem_b - g
     value = blocks + extra if extra > 0 else blocks
     if value > INT64_MAX:
-        _checked_bound(value)
+        _refuse_bound(value)
     return value
 
 
@@ -221,7 +213,7 @@ def tightness_instance(scale: int) -> tuple[CyclicInterval, CyclicInterval]:
     constant.
     """
     _positive(scale, "scale")
-    larger = checked_mul(6, scale)  # the larger modulus, also the lcm
+    larger = _checked_mul(6, scale)  # the larger modulus, also the lcm
     first = CyclicInterval(modulus=3 * scale, start=0, length=scale)
     second = CyclicInterval(modulus=larger, start=scale, length=2 * scale)
     return first, second

@@ -10,7 +10,6 @@ __all__ = [
     "CongruenceSystem",
     "OverflowLimitError",
     "SolutionClass",
-    "checked_mul",
     "solve",
 ]
 
@@ -32,7 +31,7 @@ def _shown(n) -> str:
         return f"a {n.numerator.bit_length()}-bit integer"
 
 
-def checked_mul(a: int, b: int) -> int:
+def _checked_mul(a: int, b: int) -> int:
     """Return a*b, raising OverflowLimitError outside the signed 64-bit range."""
     product = a * b
     if not -INT64_MAX - 1 <= product <= INT64_MAX:
@@ -42,10 +41,10 @@ def checked_mul(a: int, b: int) -> int:
     return product
 
 
-def _checked_bound(value: int, what: str = "bound") -> None:
-    """Only refuse, past INT64_MAX; callers pass values that cannot fall below the range."""
-    if value > INT64_MAX:
-        raise OverflowLimitError(f"{what} {_shown(value)} exceeds the 64-bit integer range")
+def _refuse_bound(value: int, what: str = "bound") -> None:
+    """Refuse a value its caller has found past INT64_MAX, as
+    "<what> <value> exceeds the 64-bit integer range"."""
+    raise OverflowLimitError(f"{what} {_shown(value)} exceeds the 64-bit integer range")
 
 
 def _positive(value: int, what: str) -> None:
@@ -158,6 +157,6 @@ def solve(system: CongruenceSystem) -> SolutionClass | None:
         g, k = _lift(modulus, m2)
         if (target - residue) % g:
             return None
-        lcm = checked_mul(modulus, m2 // g)
+        lcm = _checked_mul(modulus, m2 // g)
         residue, modulus = (residue + k * (target - residue)) % lcm, lcm
     return SolutionClass(residue, modulus)

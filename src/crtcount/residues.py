@@ -8,15 +8,14 @@ from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, islice, repeat
 from operator import eq
 
-from .congruence import SolutionClass, _lift, _positive, _shown, _solution_classes, _Value
-from .congruence import checked_mul
+from .congruence import SolutionClass, _checked_mul, _lift, _positive, _shown, _solution_classes
+from .congruence import _Value
 
 # Defined here but outside the API: the oracle partition_counts.
 __all__ = [
     "ENUMERATION_CAP",
     "CyclicInterval",
     "EnumerationCapError",
-    "ResidueCollection",
     "ResidueSet",
     "enumerate_solutions",
     "exact_count",
@@ -112,10 +111,10 @@ class CyclicInterval(_Value):
         return chain(range(self.start, min(end, self.modulus)), range(end - self.modulus))
 
 
-ResidueCollection = ResidueSet | CyclicInterval
+_Collection = ResidueSet | CyclicInterval  # for the annotations
 
 
-def partition_counts(collection: ResidueCollection, divisor: int) -> tuple[int, ...]:
+def partition_counts(collection: _Collection, divisor: int) -> tuple[int, ...]:
     """Count the collection's members in each residue class modulo the divisor.
 
     The divisor must divide the collection's modulus, so each class modulo the
@@ -136,7 +135,7 @@ def partition_counts(collection: ResidueCollection, divisor: int) -> tuple[int, 
     return tuple(counts)
 
 
-def interval_block_pairs(size_a: int, size_b: int, g: int) -> tuple[int, int, int]:
+def _interval_block_pairs(size_a: int, size_b: int, g: int) -> tuple[int, int, int]:
     """Pairs agreeing mod g between two cyclic intervals, outside their leftover arcs.
 
     An interval of size q*g + r covers every class mod g q times, plus once more
@@ -169,7 +168,7 @@ def _set_interval_count(explicit: ResidueSet, arc: CyclicInterval, g: int) -> in
     return total
 
 
-def exact_count(a: ResidueCollection, b: ResidueCollection) -> int:
+def exact_count(a: _Collection, b: _Collection) -> int:
     """Exact number of residue classes modulo lcm(m, n) hit by some admissible pair.
 
     A pair (α, β) with α in a, β in b yields a common solution of
@@ -177,16 +176,16 @@ def exact_count(a: ResidueCollection, b: ResidueCollection) -> int:
     each such pair contributes one distinct class modulo m*n/g. The pairs are
     counted in closed form, never by walking an interval:
 
-      interval × interval: interval_block_pairs plus the overlap of the two
+      interval × interval: _interval_block_pairs plus the overlap of the two
         leftover arcs on Z_g, O(1).
       set × interval (either order): |set|*qb plus the set members whose class
         mod g lies on the interval's leftover arc, O(|set|).
       set × set: tally one set by class mod g, look up the other, O(|a| + |b|).
     """
     g = math.gcd(a.modulus, b.modulus)
-    checked_mul(a.modulus // g, b.modulus)  # the solution modulus must stay representable
+    _checked_mul(a.modulus // g, b.modulus)  # the solution modulus must stay representable
     if isinstance(a, CyclicInterval) and isinstance(b, CyclicInterval):
-        blocks, rem_a, rem_b = interval_block_pairs(a.length, b.length, g)
+        blocks, rem_a, rem_b = _interval_block_pairs(a.length, b.length, g)
         return blocks + _arc_overlap(a.start, rem_a, b.start, rem_b, g)
     if isinstance(b, CyclicInterval):
         return _set_interval_count(a, b, g)
@@ -197,7 +196,7 @@ def exact_count(a: ResidueCollection, b: ResidueCollection) -> int:
 
 
 def _members_by_class(
-    collection: ResidueCollection, g: int
+    collection: _Collection, g: int
 ) -> Callable[[int], Iterable[int]]:
     """Lookup from a class c mod g to the collection's members in that class.
 
@@ -216,7 +215,7 @@ def _members_by_class(
 
 
 def _members_between(
-    collection: ResidueCollection,
+    collection: _Collection,
 ) -> Callable[[int, int, int], Iterable[int]]:
     """Lookup from (base, low, high), 0 <= low <= high <= modulus, to base + each
     member in [low, high), increasing: a slice of a set's sorted members found
@@ -236,7 +235,7 @@ def _members_between(
     ]
 
 
-def _window_solutions(arc: CyclicInterval, other: ResidueCollection, span: int) -> list[int]:
+def _window_solutions(arc: CyclicInterval, other: _Collection, span: int) -> list[int]:
     """The solutions in [0, span) of x mod m in arc and x mod n in other, increasing.
 
     They lie in the windows [start + j*m, start + j*m + length) clipped to
@@ -257,7 +256,7 @@ def _window_solutions(arc: CyclicInterval, other: ResidueCollection, span: int) 
     return found
 
 
-def _solutions(a: ResidueCollection, b: ResidueCollection) -> tuple[list[int], int]:
+def _solutions(a: _Collection, b: _Collection) -> tuple[list[int], int]:
     """Sorted residues of every common solution class, and their modulus lcm(m, n).
 
     Raises EnumerationCapError when lcm(m, n) exceeds ENUMERATION_CAP, read at
@@ -277,7 +276,7 @@ def _solutions(a: ResidueCollection, b: ResidueCollection) -> tuple[list[int], i
     Neither scans [0, lcm).
     """
     g, k = _lift(a.modulus, b.modulus)
-    span = checked_mul(a.modulus // g, b.modulus)
+    span = _checked_mul(a.modulus // g, b.modulus)
     _within_cap(span, "scan range {}", span)
     arc, other = (a, b) if a.modulus >= b.modulus else (b, a)
     if not isinstance(arc, CyclicInterval):
@@ -292,7 +291,7 @@ def _solutions(a: ResidueCollection, b: ResidueCollection) -> tuple[list[int], i
     return found, span
 
 
-def enumerate_solutions(a: ResidueCollection, b: ResidueCollection) -> list[SolutionClass]:
+def enumerate_solutions(a: _Collection, b: _Collection) -> list[SolutionClass]:
     """Every common solution class modulo lcm(m, n), in increasing order: the
     residues of _solutions, read off an interval's windows or lifted from
     agreeing pairs α ≡ β (mod g), already reduced into [0, lcm), so the

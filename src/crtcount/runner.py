@@ -19,7 +19,7 @@ only when the grid's denominator is past the range.
 from fractions import Fraction
 from math import gcd
 
-from .congruence import INT64_MAX, _positive, _shown, _Value, checked_mul
+from .congruence import INT64_MAX, _checked_mul, _positive, _shown, _Value
 from .residues import CyclicInterval
 
 __all__ = [
@@ -130,7 +130,7 @@ def two_runner_witness(pair: RunnerPair) -> DistantWitness:
     m, n = pair.speed_m, pair.speed_n
     denominator = 3 * m * n
     if denominator > INT64_MAX:
-        checked_mul(3 * m, n)  # refuses, naming the product
+        _checked_mul(3 * m, n)  # refuses, naming the product
     slow, fast = (m, n) if m < n else (n, m)
     first = fast
     offset = (first - slow) % (3 * slow)

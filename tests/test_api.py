@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import inspect
 import pickle
+import re
 import subprocess
 import sys
 import typing
@@ -15,9 +16,6 @@ from crtcount import bounds, cli, congruence, residues, runner
 
 PUBLIC = {
     "BoundResult",
-    "CASE_BOUNDARY",
-    "CASE_EMPTY",
-    "CASE_OVERLAP",
     "CongruenceSystem",
     "CyclicInterval",
     "ENUMERATION_CAP",
@@ -26,12 +24,10 @@ PUBLIC = {
     "INT64_MAX",
     "InfeasibleError",
     "OverflowLimitError",
-    "ResidueCollection",
     "ResidueSet",
     "SolutionClass",
     "bound_arbitrary",
     "bound_intervals",
-    "checked_mul",
     "density_guarantee",
     "enumerate_solutions",
     "exact_count",
@@ -63,7 +59,7 @@ MOVED = {
 
 
 def test_public_names():
-    assert len(crtcount.__all__) == len(PUBLIC) == 25
+    assert len(crtcount.__all__) == len(PUBLIC) == 20
     assert set(crtcount.__all__) == PUBLIC
     for name in crtcount.__all__:
         assert hasattr(crtcount, name), name
@@ -71,6 +67,16 @@ def test_public_names():
     assert set(runner.__all__) == RUNNER
     for name in runner.__all__:
         assert hasattr(runner, name) and not hasattr(crtcount, name), name
+
+
+def test_readme_counts_the_public_names():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = " ".join(readme.read_text().split())
+    sentence = r"The API is `crtcount\.__all__`, (\d+) names, plus the runner's (\w+) in"
+    stated = re.search(sentence, text)
+    assert stated, "README no longer states the size of the API"
+    assert int(stated[1]) == len(crtcount.__all__)
+    assert stated[2] == "three" and len(runner.__all__) == 3
 
 
 def test_each_public_name_is_listed_once_in_its_own_module():
@@ -235,8 +241,8 @@ def test_pickled_witness_loads_in_an_interpreter_that_imported_nothing():
 
 
 def test_bound_result_and_residue_collection_keep_their_shape():
-    # BoundResult is a plain collections.namedtuple and ResidueCollection a
-    # runtime `|` union; neither needs typing to be built or used.
+    # BoundResult is a plain collections.namedtuple and residues' private
+    # annotation alias a runtime `|` union; neither needs typing to be built or used.
     BoundResult = crtcount.BoundResult
     assert BoundResult._fields == ("lower_bound", "case_tag")
     assert BoundResult.__mro__ == (BoundResult, tuple, object)
@@ -255,7 +261,7 @@ def test_bound_result_and_residue_collection_keep_their_shape():
     )
     assert in_fresh_interpreter(loaded, pickle.dumps(result).hex()) == [repr(result), True]
 
-    collection = crtcount.ResidueCollection
+    collection = residues._Collection
     assert typing.get_args(collection) == (crtcount.ResidueSet, crtcount.CyclicInterval)
     assert isinstance(crtcount.ResidueSet(6, (0, 2)), collection)
     assert isinstance(crtcount.CyclicInterval(6, 4, 3), collection)

@@ -10,9 +10,6 @@ from hypothesis import strategies as st
 
 from crtcount import bounds, residues
 from crtcount.bounds import (
-    CASE_BOUNDARY,
-    CASE_EMPTY,
-    CASE_OVERLAP,
     InfeasibleError,
     _check_profile,
     _check_sizes,
@@ -79,9 +76,9 @@ def test_extremal_profile_shape(cap, length, data):
 
 
 def test_extremal_sum_pinned_cases():
-    assert extremal_sum(1, 5, 1, 5, 3) == (0, CASE_EMPTY)
-    assert extremal_sum(5, 2, 5, 3, 4) == (2, CASE_BOUNDARY)
-    assert extremal_sum(6, 2, 9, 3, 3) == (18, CASE_OVERLAP)
+    assert extremal_sum(1, 5, 1, 5, 3) == (0, "empty")
+    assert extremal_sum(5, 2, 5, 3, 4) == (2, "boundary")
+    assert extremal_sum(6, 2, 9, 3, 3) == (18, "overlap")
 
 
 def test_extremal_sum_validation():
@@ -138,8 +135,8 @@ def test_bound_arbitrary_matches_extremal_route(m, n, data):
 
 
 def test_bound_arbitrary_pinned():
-    assert bound_arbitrary(4, 6, 3, 3) == (3, CASE_OVERLAP)
-    assert bound_arbitrary(6, 10, 1, 1) == (0, CASE_EMPTY)
+    assert bound_arbitrary(4, 6, 3, 3) == (3, "overlap")
+    assert bound_arbitrary(6, 10, 1, 1) == (0, "empty")
     # full collections force every class modulo the lcm
     assert bound_arbitrary(6, 10, 6, 10).lower_bound == 30
     # coprime moduli force the product of sizes
@@ -339,7 +336,23 @@ def test_floors_outside_64_bits_are_refused():
     m, n = 49 * 73 * 127 * 337, 92737 * 649657  # coprime, m * n == 2**63 - 1
     assert bound_intervals(m, n, m, n) == 2**63 - 1
     assert bound_arbitrary(m, n, m, n).lower_bound == 2**63 - 1
-    assert extremal_sum(2**62, 2**62, 1, 1, 1) == (2**62, CASE_OVERLAP)
+    assert extremal_sum(2**62, 2**62, 1, 1, 1) == (2**62, "overlap")
+
+
+def test_floors_accept_int64_max_and_refuse_past_it():
+    # Each floor tests its own value against INT64_MAX and calls the refusal
+    # only past it, so the edge is pinned through the public entries.
+    top = INT64_MAX
+    assert bound_intervals(top, top, top, top) == top
+    assert extremal_sum(top, top, 1, 1, 1) == (top, "overlap")
+    assert extremal_profile(1, top, 1).values == (1,)
+    past = "9223372036854775808 exceeds the 64-bit integer range$"
+    with pytest.raises(OverflowLimitError, match=f"^bound {past}"):
+        bound_intervals(2**63, 2**63, 2**63, 2**63)
+    with pytest.raises(OverflowLimitError, match=f"^bound {past}"):
+        extremal_sum(2**63, 2**63, 1, 1, 1)
+    with pytest.raises(OverflowLimitError, match=f"^cap {past}"):
+        extremal_profile(1, 2**63, 1)
 
 
 def refusal(function, *args):
@@ -410,7 +423,7 @@ def test_valid_arguments_never_reach_the_refusal_checks(monkeypatch):
     def unexpected(*args):
         raise AssertionError(f"refusal check called on {args}")
 
-    for name in ("_check_sizes", "_check_profile", "_within_cap", "_checked_bound"):
+    for name in ("_check_sizes", "_check_profile", "_within_cap", "_refuse_bound"):
         monkeypatch.setattr(bounds, name, unexpected)
     for (function, *args), result in expected.items():
         assert function(*args) == result, (function.__name__, args)
@@ -424,12 +437,12 @@ def test_floors_run_a_constant_number_of_opcodes():
     # differ between Python versions.
     scales = [10**k for k in range(2, 19)] + [2**62]
     cases = {
-        ("bound_arbitrary", CASE_EMPTY): lambda m: bound_arbitrary(m, m, 1, 1),
-        ("bound_arbitrary", CASE_BOUNDARY): lambda m: bound_arbitrary(m, m, m // 2, m - 1 - m // 2),
-        ("bound_arbitrary", CASE_OVERLAP): lambda m: bound_arbitrary(m, m, m, m),
-        ("extremal_sum", CASE_EMPTY): lambda m: extremal_sum(1, m, 1, m, 3),
-        ("extremal_sum", CASE_BOUNDARY): lambda m: extremal_sum(m + 1, m, 1, m, 2),
-        ("extremal_sum", CASE_OVERLAP): lambda m: extremal_sum(1, 1, m, m, 1),
+        ("bound_arbitrary", "empty"): lambda m: bound_arbitrary(m, m, 1, 1),
+        ("bound_arbitrary", "boundary"): lambda m: bound_arbitrary(m, m, m // 2, m - 1 - m // 2),
+        ("bound_arbitrary", "overlap"): lambda m: bound_arbitrary(m, m, m, m),
+        ("extremal_sum", "empty"): lambda m: extremal_sum(1, m, 1, m, 3),
+        ("extremal_sum", "boundary"): lambda m: extremal_sum(m + 1, m, 1, m, 2),
+        ("extremal_sum", "overlap"): lambda m: extremal_sum(1, 1, m, m, 1),
         # the interval floor's case: whether the leftover arcs must overlap
         ("bound_intervals", "apart"): lambda m: bound_intervals(m, m, 1, 1),
         ("bound_intervals", "overlap"): lambda m: bound_intervals(m, m, m - 1, m - 1),

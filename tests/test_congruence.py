@@ -24,9 +24,8 @@ from crtcount.congruence import (
     CongruenceSystem,
     OverflowLimitError,
     SolutionClass,
-    _checked_bound,
+    _checked_mul,
     _lift,
-    checked_mul,
     solve,
 )
 from crtcount.residues import CyclicInterval, EnumerationCapError, ResidueSet, partition_counts
@@ -34,33 +33,24 @@ from crtcount.runner import DistantWitness, RunnerPair, distant_interval, two_ru
 
 
 def test_checked_mul_small_products():
-    assert checked_mul(6, 7) == 42
-    assert checked_mul(-6, 7) == -42
-    assert checked_mul(0, INT64_MAX) == 0
+    assert _checked_mul(6, 7) == 42
+    assert _checked_mul(-6, 7) == -42
+    assert _checked_mul(0, INT64_MAX) == 0
 
 
 def test_checked_mul_boundaries():
-    assert checked_mul(INT64_MAX, 1) == INT64_MAX
+    assert _checked_mul(INT64_MAX, 1) == INT64_MAX
     # the negative end of the signed range is one wider
-    assert checked_mul(-(2**62), 2) == -(2**63)
+    assert _checked_mul(-(2**62), 2) == -(2**63)
 
 
 def test_checked_mul_overflow():
     with pytest.raises(OverflowLimitError):
-        checked_mul(INT64_MAX, 2)
+        _checked_mul(INT64_MAX, 2)
     with pytest.raises(OverflowLimitError):
-        checked_mul(2**32, 2**32)
+        _checked_mul(2**32, 2**32)
     with pytest.raises(OverflowLimitError):
-        checked_mul(-(2**62), -3)
-
-
-def test_checked_bound_refuses_only_past_the_range():
-    # the floors call it only once a value is past INT64_MAX, so its own edge
-    # is pinned here
-    _checked_bound(INT64_MAX)
-    _checked_bound(0, "cap")
-    with pytest.raises(OverflowLimitError, match="^cap 9223372036854775808 exceeds the 64-bit"):
-        _checked_bound(INT64_MAX + 1, "cap")
+        _checked_mul(-(2**62), -3)
 
 
 NINES = int("9" * 4300)  # the most digits str() accepts by default; products have more
@@ -211,7 +201,7 @@ def test_lone_congruence_modulus_guarded():
 
 def test_incompatible_pair_is_refused_before_its_lcm_is_guarded():
     # gcd 2 splits residues 0 and 1, so solve answers None before it forms the
-    # lcm, about 2**79, which checked_mul would refuse
+    # lcm, about 2**79, which _checked_mul would refuse
     assert solve(CongruenceSystem.from_pairs([(0, 2**40), (1, 2**40 + 2)])) is None
 
 

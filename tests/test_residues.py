@@ -19,8 +19,8 @@ from crtcount.residues import (
     EnumerationCapError,
     ResidueSet,
     enumerate_solutions,
+    _interval_block_pairs,
     exact_count,
-    interval_block_pairs,
     partition_counts,
 )
 
@@ -284,7 +284,7 @@ def test_interval_floor_is_the_worst_relative_shift(m, n, data):
     size_a = data.draw(st.integers(0, m))
     size_b = data.draw(st.integers(0, n))
     g = math.gcd(m, n)
-    blocks, rem_a, rem_b = interval_block_pairs(size_a, size_b, g)
+    blocks, rem_a, rem_b = _interval_block_pairs(size_a, size_b, g)
     floor = bound_intervals(m, n, size_a, size_b)
     assert floor == blocks + max(0, rem_a + rem_b - g)
     worst = min(

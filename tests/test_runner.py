@@ -257,15 +257,15 @@ def test_witness_does_not_call_the_constructor(monkeypatch):
 
 
 def test_witness_guard_stays_off_the_passing_path(monkeypatch):
-    # Inside 64 bits the witness never calls checked_mul; past them it does,
+    # Inside 64 bits the witness never calls _checked_mul; past them it does,
     # and test_witness_at_the_64_bit_edge pins that refusal.
     pairs = ((1, 2), (7, 3), (999999999, 10**9), (1, EDGE))
     expected = {speeds: two_runner_witness(RunnerPair(*speeds)) for speeds in pairs}
 
     def refuse(*args):
-        raise AssertionError("the witness called checked_mul on an in-range product")
+        raise AssertionError("the witness called _checked_mul on an in-range product")
 
-    monkeypatch.setattr(runner, "checked_mul", refuse)
+    monkeypatch.setattr(runner, "_checked_mul", refuse)
     for speeds, witness in expected.items():
         assert two_runner_witness(RunnerPair(*speeds)) == witness
 

@@ -1,9 +1,10 @@
 """Run tier-1 against one-edit mutants of src/ and report which ones it kills.
 
 Each mutant is one (file, exact old text, new text) edit kept in MUTANTS
-below. For each, the script copies src/, tests/, tools/ and perfbench/ (whose
-traced names tests/test_api.py reads) into a temporary directory, applies
-the edit there and runs the mutated file's own tests with -x:
+below. For each, the script copies src/, tests/, tools/, perfbench/ (whose
+traced names tests/test_api.py reads) and README.md (whose count of the
+public names it reads) into a temporary directory, applies the edit there
+and runs the mutated file's own tests with -x:
 tests/test_<stem>.py, or tests/test_api.py for the package's __init__.py.
 Only when they all pass does it run the whole tier-1 suite with -x. It
 prints "killed" when some test fails or "survived" when every test passes.
@@ -31,7 +32,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "tools", "perfbench", "pyproject.toml")
+COPIED = ("src", "tests", "tools", "perfbench", "pyproject.toml", "README.md")
 
 # (name, file under src/crtcount, exact old text, new text)
 MUTANTS = [
@@ -64,6 +65,12 @@ MUTANTS = [
         "bounds.py",
         "cap <= INT64_MAX):",
         "cap < INT64_MAX):",
+    ),
+    (
+        "pairing floor swaps the boundary and overlap tags",
+        "bounds.py",
+        '        value, tag = leftover_a * leftover_b, "boundary"\n',
+        '        value, tag = leftover_a * leftover_b, "overlap"\n',
     ),
     (
         "pairing floor leftover takes the other side's cap",
@@ -152,8 +159,8 @@ MUTANTS = [
     (
         "runner guard drops the factor 3",
         "runner.py",
-        "checked_mul(3 * m, n)",
-        "checked_mul(m, n)",
+        "_checked_mul(3 * m, n)",
+        "_checked_mul(m, n)",
     ),
     (
         "distant arc length",
@@ -162,7 +169,7 @@ MUTANTS = [
         "length = (runners - 1) * period // (runners + 1)",
     ),
     (
-        "checked_mul lower edge",
+        "_checked_mul lower edge",
         "congruence.py",
         "if not -INT64_MAX - 1 <= product",
         "if not -INT64_MAX <= product",
@@ -258,10 +265,16 @@ MUTANTS = [
         "[r % g for r in a.members]",
     ),
     (
-        "64-bit bound refuses its top edge",
-        "congruence.py",
-        "    if value > INT64_MAX:\n",
-        "    if value >= INT64_MAX:\n",
+        "pairing floor refuses INT64_MAX itself",
+        "bounds.py",
+        "    if value > INT64_MAX:\n        _refuse_bound(value)\n    return _new(",
+        "    if value >= INT64_MAX:\n        _refuse_bound(value)\n    return _new(",
+    ),
+    (
+        "interval floor refuses INT64_MAX itself",
+        "bounds.py",
+        "    if value > INT64_MAX:\n        _refuse_bound(value)\n    return value\n",
+        "    if value >= INT64_MAX:\n        _refuse_bound(value)\n    return value\n",
     ),
     (
         "refusal shows a Fraction as one integer",
